@@ -187,7 +187,7 @@ func run(args []string, out io.Writer) int {
 	fs.IntVar(&o.maxRuns, "maxruns", 0, "abort each cell after this many runs (0 = exhaustive)")
 	fs.BoolVar(&o.prune, "prune", false, "enable partial-order reduction")
 	fs.BoolVar(&o.dedup, "dedup", false, "enable state-fingerprint deduplication (visited-state cut-offs)")
-	fs.IntVar(&o.dedupMem, "dedupmem", 0, "visited-state store budget in MiB (0 = default 64)")
+	fs.IntVar(&o.dedupMem, "dedupmem", 0, "visited-state store bound in MiB; the store grows to it as states arrive (0 = default 64)")
 	fs.BoolVar(&o.symmetry, "symmetry", false, "enable symmetry reduction (orbit-canonical fingerprints; needs -dedup)")
 	fs.BoolVar(&o.compare, "compare", false, "verify the parallel run count against the sequential explorer")
 	fs.BoolVar(&o.seq, "seq", false, "use the sequential explorer only")

@@ -58,6 +58,14 @@ func (c *XCompete) Fingerprint(h *sched.FP) {
 	}
 }
 
+// Reset returns every test&set of the cascade to unset. The provider's
+// objects must implement Reset (the primitive test&set does).
+func (c *XCompete) Reset() {
+	for _, t := range c.ts {
+		t.(interface{ Reset() }).Reset()
+	}
+}
+
 // Compete runs the cascade (Figure 5) and reports whether the caller is one
 // of the at most x winners.
 func (c *XCompete) Compete(e *sched.Env) bool {
@@ -69,18 +77,25 @@ func (c *XCompete) Compete(e *sched.Env) bool {
 	return false
 }
 
-// xsagResult is the X_SAFE_AG register content; set distinguishes a written
-// nil-able value from the initial ⊥.
+// xsagResult is a value written to the X_SAFE_AG register, which holds a
+// pointer to one: nil is the initial ⊥. Each simulator writes at most once
+// per run, so every object keeps one result cell per simulator and the
+// register never boxes a fresh value, neither on a write nor when a read is
+// observed or the register fingerprinted.
 type xsagResult struct {
-	set bool
-	v   any
+	v any
 }
 
-// Fingerprint implements sched.Fingerprinter so xsagResult values folded
-// through the result register hash without fmt formatting.
-func (r xsagResult) Fingerprint(h *sched.FP) {
-	h.Bool(r.set)
-	h.Value(r.v)
+// Fingerprint implements sched.Fingerprinter so register contents hash
+// without fmt formatting: whether the register was written, then the value
+// (nil for ⊥).
+func (r *xsagResult) Fingerprint(h *sched.FP) {
+	var v any
+	if r != nil {
+		v = r.v
+	}
+	h.Bool(r != nil)
+	h.Value(v)
 }
 
 // XSafeFactory builds x_safe_agreement objects for a fixed population of n
@@ -124,7 +139,9 @@ func (f *XSafeFactory) New(name string) *XSafeAgreement {
 		f:        f,
 		compete:  NewXCompete(name+".X_T&S", f.x, f.provider),
 		xcons:    make([]*object.XConsensus, len(f.setList)),
-		result:   reg.New[xsagResult](name + ".X_SAFE_AG"),
+		touched:  make([]bool, len(f.setList)),
+		result:   reg.New[*xsagResult](name + ".X_SAFE_AG"),
+		cells:    make([]xsagResult, f.n),
 		proposed: make(map[sched.ProcID]bool),
 	}
 }
@@ -137,14 +154,35 @@ type XSafeAgreement struct {
 	f        *XSafeFactory
 	compete  *XCompete
 	xcons    []*object.XConsensus // lazily created, ports = SET_LIST[l]
-	result   *reg.Register[xsagResult]
+	touched  []bool               // XCONS[l] accessed since the last Reset
+	result   *reg.Register[*xsagResult]
+	cells    []xsagResult // per-simulator result values, see xsagResult
 	proposed map[sched.ProcID]bool
 }
 
+// Reset returns the object to its freshly constructed state without
+// re-interning any step labels: the compete cascade, every consensus object
+// created so far and the result register are reset, and the proposed set
+// cleared. The consensus objects stay allocated for the next run, but one
+// not yet accessed in the run fingerprints as never created, so a reset
+// object digests exactly like a fresh one.
+func (xs *XSafeAgreement) Reset() {
+	xs.compete.Reset()
+	for _, c := range xs.xcons {
+		if c != nil {
+			c.Reset()
+		}
+	}
+	clear(xs.touched)
+	xs.result.Reset()
+	clear(xs.cells)
+	clear(xs.proposed)
+}
+
 // consAt returns XCONS[l], creating it on first access with ports
-// SET_LIST[l]. Lazy creation is safe under the serialized runtime and avoids
-// allocating all C(n, x) objects for instances that only ever see one owner
-// set.
+// SET_LIST[l], and marks it accessed in this run. Lazy creation is safe
+// under the serialized runtime and avoids allocating all C(n, x) objects for
+// instances that only ever see one owner set.
 func (xs *XSafeAgreement) consAt(l int) *object.XConsensus {
 	if xs.xcons[l] == nil {
 		sub := xs.f.setList[l]
@@ -155,16 +193,17 @@ func (xs *XSafeAgreement) consAt(l int) *object.XConsensus {
 		xs.xcons[l] = object.NewXConsensus(
 			fmt.Sprintf("%s.XCONS[%d]", xs.name, l), xs.f.x, ids)
 	}
+	xs.touched[l] = true
 	return xs.xcons[l]
 }
 
 // Fingerprint implements sched.Fingerprinter: the compete cascade, the
-// lazily-created consensus objects (slot by slot), the result register and
-// the proposed set.
+// consensus objects accessed in this run (slot by slot; the others fold as
+// a zero word), the result register and the proposed set.
 func (xs *XSafeAgreement) Fingerprint(h *sched.FP) {
 	xs.compete.Fingerprint(h)
-	for _, c := range xs.xcons {
-		if c == nil {
+	for l, c := range xs.xcons {
+		if !xs.touched[l] {
 			h.Word(0)
 			continue
 		}
@@ -201,14 +240,16 @@ func (xs *XSafeAgreement) Propose(e *sched.Env, v any) {
 			res = xs.consAt(l).Propose(e, res)
 		}
 	}
-	xs.result.Write(e, xsagResult{set: true, v: res}) // line 07
+	out := &xs.cells[id]
+	out.v = res
+	xs.result.Write(e, out) // line 07
 }
 
 // TryDecide performs one probe of the decide wait (Figure 6, line 09): it
 // returns (value, true) once the result register is written.
 func (xs *XSafeAgreement) TryDecide(e *sched.Env) (any, bool) {
 	r := xs.result.Read(e)
-	if !r.set {
+	if r == nil {
 		return nil, false
 	}
 	return r.v, true

@@ -367,3 +367,70 @@ func TestExhaustiveXSafeParallelDeterminism(t *testing.T) {
 		t.Logf("prune=%v: %d runs, %d pruned", prune, par.Runs, par.Pruned)
 	}
 }
+
+// fpOf folds one object's fingerprint.
+func fpOf(f sched.Fingerprinter) sched.Fingerprint {
+	var h sched.FP
+	f.Fingerprint(&h)
+	return h.Sum()
+}
+
+func TestXCompeteResetFingerprintsFresh(t *testing.T) {
+	comp := NewXCompete("xc", 2, nil)
+	fresh := fpOf(NewXCompete("xc", 2, nil))
+	bodies := make([]sched.Proc, 3)
+	for i := range bodies {
+		bodies[i] = func(e *sched.Env) {
+			comp.Compete(e)
+			e.Decide(0)
+		}
+	}
+	if _, err := sched.Run(sched.Config{Seed: 1}, bodies); err != nil {
+		t.Fatal(err)
+	}
+	if fpOf(comp) == fresh {
+		t.Fatal("a contended cascade fingerprints like a fresh one")
+	}
+	comp.Reset()
+	if fpOf(comp) != fresh {
+		t.Fatal("reset cascade fingerprints unlike a fresh one")
+	}
+}
+
+// TestXSafeAgreementResetFingerprintsFresh: a reset object digests like a
+// fresh one — its consensus objects stay allocated but fold as never
+// created until accessed — and a seeded run on it reaches the state the
+// same run reaches on a fresh object, whichever consensus objects the
+// earlier run touched.
+func TestXSafeAgreementResetFingerprintsFresh(t *testing.T) {
+	const n, x = 4, 2
+	f := NewXSafeFactory(n, x, nil)
+	run := func(xs *XSafeAgreement, seed int64) {
+		bodies := make([]sched.Proc, n)
+		for i := range bodies {
+			bodies[i] = xsaBody(xs, 100+i)
+		}
+		if _, err := sched.Run(sched.Config{Seed: seed, Observe: true}, bodies); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reused := f.New("xsa")
+	fresh := fpOf(f.New("xsa"))
+	for seed := int64(0); seed < 8; seed++ {
+		run(reused, seed)
+		if fpOf(reused) == fresh {
+			t.Fatalf("seed %d: a decided object fingerprints like a fresh one", seed)
+		}
+		want := f.New("xsa")
+		run(want, seed+1)
+		reused.Reset()
+		if fpOf(reused) != fresh {
+			t.Fatalf("seed %d: reset object fingerprints unlike a fresh one", seed)
+		}
+		run(reused, seed+1)
+		if fpOf(reused) != fpOf(want) {
+			t.Fatalf("seed %d: run on a reset object diverged from a fresh object", seed+1)
+		}
+		reused.Reset()
+	}
+}

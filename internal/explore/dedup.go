@@ -59,6 +59,23 @@
 // misses — or reads a torn slot — falls back to the mutex, re-probes, and
 // inserts, which preserves the store's exactness guarantee: for each
 // resident fingerprint exactly one caller ever gets "not visited".
+//
+// # Growth: sized to what the store holds
+//
+// The memory budget is a bound, not an allocation. Each shard starts at one
+// probe window of slots and, under its mutex, doubles and rehashes (stamps
+// kept) whenever an insert would take it past half full or finds its probe
+// window full, until it reaches its share of the budget. Only a table at
+// that bound evicts, so below it the store is an exact set: hit, insert and
+// visited-run counts are those of an unbounded store. A rehash that
+// overflows a probe window below the bound doubles again; at the bound the
+// window drops its oldest entry, exactly as an insert does.
+//
+// A shard publishes its current table through an atomic pointer, and a
+// probe loads it once. A grown-out table takes no more inserts, so a probe
+// on a stale table stays exact: a hit there is a true hit (the entry was
+// inserted and its refresh is merely lost), and a miss falls back to the
+// write path, which re-probes the current table under the mutex.
 
 package explore
 
@@ -73,11 +90,14 @@ import (
 const (
 	// dedupEntryBytes is the in-table size of one visited state.
 	dedupEntryBytes = 24
-	// dedupProbeWindow is the linear-probe window; an insert that finds the
-	// whole window occupied evicts the window's oldest entry.
+	// dedupProbeWindow is the linear-probe window, and a shard's initial
+	// slot count; an insert that finds the whole window occupied grows the
+	// table, or, at the memory bound, evicts the window's oldest entry.
 	dedupProbeWindow = 16
 	// DefaultDedupMem bounds the visited-state store when Config.DedupMem is
-	// zero: 64 MiB ≈ 2.7M resident states.
+	// zero. Each shard's slot bound rounds down to a power of two, so at the
+	// default 64 shards the bound is 2,097,152 slots (48 MiB); a store only
+	// grows toward it as states arrive.
 	DefaultDedupMem = 64 << 20
 	// DefaultDedupShards is the lock-stripe count when Config.DedupShards is
 	// zero. 64 shards keep write contention negligible for any sane worker
@@ -93,16 +113,54 @@ type dedupEntry struct {
 	stamp  atomic.Uint64
 }
 
-// dedupShard is one stripe: a power-of-two open-addressing table with
-// window-local oldest-entry eviction (an approximate LRU — hits refresh the
-// stamp — that makes the store's memory strictly bounded). The mutex guards
-// writes only; probes read the seqlock entries lock-free. The counters are
-// atomic and exact: every visit increments lookups once and exactly one of
-// hits or inserts.
+// dedupTable is one power-of-two open-addressing table of a shard.
+type dedupTable struct {
+	slots []dedupEntry
+	mask  uint64
+}
+
+func newDedupTable(slots int) *dedupTable {
+	return &dedupTable{slots: make([]dedupEntry, slots), mask: uint64(slots - 1)}
+}
+
+// place finds where a fingerprint homed at home goes in t: the window's
+// first free slot, else (free < 0) the window's oldest entry as victim.
+func (t *dedupTable) place(home uint64) (free, victim int, victimStamp uint64) {
+	free, victim = -1, -1
+	for i := uint64(0); i < dedupProbeWindow; i++ {
+		j := int((home + i) & t.mask)
+		stamp := t.slots[j].stamp.Load()
+		if stamp == 0 {
+			return j, -1, 0
+		}
+		if victim < 0 || stamp < victimStamp {
+			victim, victimStamp = j, stamp
+		}
+	}
+	return -1, victim, victimStamp
+}
+
+// put writes an entry in seqlock order: empty the slot, fill the
+// fingerprint words, then publish with the stamp. Concurrent probes either
+// skip the slot (stamp 0) or detect the restamp and fall back to the lock.
+func (t *dedupTable) put(j int, lo, hi, stamp uint64) {
+	s := &t.slots[j]
+	s.stamp.Store(0)
+	s.lo.Store(lo)
+	s.hi.Store(hi)
+	s.stamp.Store(stamp)
+}
+
+// dedupShard is one stripe: a growing open-addressing table with
+// window-local oldest-entry eviction at its slot bound (an approximate LRU —
+// hits refresh the stamp — that makes the store's memory strictly bounded).
+// The mutex guards writes only; probes read the seqlock entries lock-free.
+// The counters are atomic and exact: every visit increments lookups once
+// and exactly one of hits or inserts.
 type dedupShard struct {
 	mu      sync.Mutex
-	slots   []dedupEntry
-	mask    uint64
+	tab     atomic.Pointer[dedupTable]
+	bound   int // slot count the table never grows past
 	stamp   atomic.Uint64
 	occ     atomic.Int64
 	lookups atomic.Int64
@@ -128,10 +186,10 @@ func ceilPow2(v int) int {
 	return p
 }
 
-// newDedupStore sizes a store to memBytes across shards lock stripes.
-// shards is rounded up to a power of two; each shard's slot count is the
+// newDedupStore bounds a store to memBytes across shards lock stripes.
+// shards is rounded up to a power of two; each shard's slot bound is the
 // largest power of two fitting its share of the budget (minimum one probe
-// window).
+// window), and each shard starts at one probe window of slots.
 func newDedupStore(memBytes, shards int) *dedupStore {
 	if memBytes <= 0 {
 		memBytes = DefaultDedupMem
@@ -141,32 +199,30 @@ func newDedupStore(memBytes, shards int) *dedupStore {
 	}
 	shards = ceilPow2(shards)
 	perShard := memBytes / shards / dedupEntryBytes
-	slots := 1
-	for slots*2 <= perShard {
-		slots <<= 1
-	}
-	if slots < dedupProbeWindow {
-		slots = dedupProbeWindow
+	bound := dedupProbeWindow
+	for bound*2 <= perShard {
+		bound <<= 1
 	}
 	st := &dedupStore{shards: make([]dedupShard, shards), mask: uint64(shards - 1)}
 	for i := range st.shards {
-		st.shards[i].slots = make([]dedupEntry, slots)
-		st.shards[i].mask = uint64(slots - 1)
+		st.shards[i].bound = bound
+		st.shards[i].tab.Store(newDedupTable(dedupProbeWindow))
 	}
 	return st
 }
 
 // visit reports whether fp was already in the store, inserting it if not.
 // Exactly one caller ever gets "false" for a given resident fingerprint; a
-// full probe window evicts its oldest entry (bounded memory, approximate
-// LRU). The hit path is lock-free (see the package comment); only a miss or
-// a torn read takes the shard mutex.
+// full probe window grows the table or, at the memory bound, evicts its
+// oldest entry (approximate LRU). The hit path is lock-free (see the file
+// comment); only a miss or a torn read takes the shard mutex.
 func (st *dedupStore) visit(fp sched.Fingerprint) bool {
 	sh := &st.shards[fp.Hi&st.mask]
 	sh.lookups.Add(1)
+	t := sh.tab.Load()
 	home := fp.Lo
 	for i := uint64(0); i < dedupProbeWindow; i++ {
-		s := &sh.slots[(home+i)&sh.mask]
+		s := &t.slots[(home+i)&t.mask]
 		st1 := s.stamp.Load()
 		if st1 == 0 {
 			continue // empty or mid-write; the slow path re-checks under the lock
@@ -177,7 +233,8 @@ func (st *dedupStore) visit(fp sched.Fingerprint) bool {
 			}
 			sh.hits.Add(1)
 			// Best-effort LRU refresh: keep hot states resident. A failed CAS
-			// means a writer (or another hit) already restamped the slot.
+			// means a writer (or another hit) already restamped the slot; on
+			// a grown-out table the refresh is simply lost.
 			s.stamp.CompareAndSwap(st1, sh.stamp.Add(1))
 			return true
 		}
@@ -185,35 +242,28 @@ func (st *dedupStore) visit(fp sched.Fingerprint) bool {
 	return sh.visitSlow(fp)
 }
 
-// visitSlow is the write path: under the shard mutex it re-probes (the
-// fingerprint may have been inserted since the lock-free miss) and inserts
-// into a free slot or over the window's oldest entry. It reports a hit
-// exactly like the fast path would.
+// visitSlow is the write path: under the shard mutex it re-probes the
+// current table (the fingerprint may have been inserted since the lock-free
+// miss, or the miss may have read a grown-out table), grows the table if the
+// insert needs room, and inserts into a free slot or, at the bound, over the
+// window's oldest entry. It reports a hit exactly like the fast path would.
 func (sh *dedupShard) visitSlow(fp sched.Fingerprint) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	t := sh.tab.Load()
 	home := fp.Lo
-	victim := -1
-	var victimStamp uint64
-	free := -1
 	for i := uint64(0); i < dedupProbeWindow; i++ {
-		s := &sh.slots[(home+i)&sh.mask]
-		stamp := s.stamp.Load()
-		if stamp == 0 {
-			if free < 0 {
-				free = int((home + i) & sh.mask)
-			}
-			continue
-		}
-		if s.lo.Load() == fp.Lo && s.hi.Load() == fp.Hi {
+		s := &t.slots[(home+i)&t.mask]
+		if s.stamp.Load() != 0 && s.lo.Load() == fp.Lo && s.hi.Load() == fp.Hi {
 			sh.hits.Add(1)
 			s.stamp.Store(sh.stamp.Add(1)) // refresh: hot states stay resident
 			return true
 		}
-		if victim < 0 || stamp < victimStamp {
-			victim = int((home + i) & sh.mask)
-			victimStamp = stamp
-		}
+	}
+	free, victim, _ := t.place(home)
+	for len(t.slots) < sh.bound && (free < 0 || 2*(sh.occ.Load()+1) > int64(len(t.slots))) {
+		t = sh.grow(t)
+		free, victim, _ = t.place(home)
 	}
 	slot := free
 	if slot < 0 {
@@ -223,15 +273,50 @@ func (sh *dedupShard) visitSlow(fp sched.Fingerprint) bool {
 		sh.occ.Add(1)
 	}
 	sh.inserts.Add(1)
-	// Seqlock write order: empty the slot, fill the fingerprint words, then
-	// publish with the fresh stamp. Concurrent probes either skip the slot
-	// (stamp 0) or detect the restamp and fall back here.
-	s := &sh.slots[slot]
-	s.stamp.Store(0)
-	s.lo.Store(fp.Lo)
-	s.hi.Store(fp.Hi)
-	s.stamp.Store(sh.stamp.Add(1))
+	t.put(slot, fp.Lo, fp.Hi, sh.stamp.Add(1))
 	return false
+}
+
+// grow replaces the shard's table (held under the mutex) with one of twice
+// the size holding the same entries and stamps, doubling again while a
+// probe window overflows below the bound. A window that overflows at the
+// bound drops its oldest entry, counted as an eviction. The new table is
+// filled before it is published, and the old one takes no more inserts.
+func (sh *dedupShard) grow(old *dedupTable) *dedupTable {
+	for size := 2 * len(old.slots); ; size *= 2 {
+		t := newDedupTable(size)
+		if sh.rehash(old, t, size >= sh.bound) {
+			sh.tab.Store(t)
+			return t
+		}
+	}
+}
+
+// rehash copies old's entries into t. It reports false when a probe window
+// of t overflows and evict is unset; with evict set, the older of the
+// window's oldest entry and the incoming one is dropped.
+func (sh *dedupShard) rehash(old, t *dedupTable, evict bool) bool {
+	for i := range old.slots {
+		s := &old.slots[i]
+		stamp := s.stamp.Load()
+		if stamp == 0 {
+			continue
+		}
+		lo, hi := s.lo.Load(), s.hi.Load()
+		free, victim, victimStamp := t.place(lo)
+		switch {
+		case free >= 0:
+			t.put(free, lo, hi, stamp)
+			continue
+		case !evict:
+			return false
+		case victimStamp < stamp:
+			t.put(victim, lo, hi, stamp)
+		}
+		sh.evicted.Add(1)
+		sh.occ.Add(-1)
+	}
+	return true
 }
 
 // DedupStats summarizes the visited-state store of one exploration (zero
@@ -253,8 +338,9 @@ type DedupStats struct {
 	// CutAlternatives is the number of decision alternatives dropped inside
 	// cut subtrees (the dedup analogue of Stats.Pruned).
 	CutAlternatives int
-	// Shards, Capacity and Occupied describe the store: lock stripes, total
-	// entry slots and slots in use when the exploration finished.
+	// Shards, Capacity and Occupied describe the store when the exploration
+	// finished: lock stripes, entry slots currently allocated (the tables
+	// grow on demand, up to the DedupMem bound) and slots in use.
 	Shards   int
 	Capacity int
 	Occupied int
@@ -279,7 +365,7 @@ func (st *dedupStore) snapshot() DedupStats {
 		d.Hits += sh.hits.Load()
 		d.States += sh.inserts.Load()
 		d.Evictions += sh.evicted.Load()
-		d.Capacity += len(sh.slots)
+		d.Capacity += len(sh.tab.Load().slots)
 		d.Occupied += int(sh.occ.Load())
 	}
 	return d
@@ -305,7 +391,7 @@ func (st *dedupStore) shardStats() []ShardStats {
 		out[i] = ShardStats{
 			Shard: i, Lookups: sh.lookups.Load(), Hits: sh.hits.Load(),
 			States: sh.inserts.Load(), Evictions: sh.evicted.Load(),
-			Occupied: int(sh.occ.Load()), Capacity: len(sh.slots),
+			Occupied: int(sh.occ.Load()), Capacity: len(sh.tab.Load().slots),
 		}
 	}
 	return out

@@ -589,3 +589,224 @@ func TestDedupShardStatsSurface(t *testing.T) {
 		t.Fatal("shard stats out of order")
 	}
 }
+
+// --- growth -----------------------------------------------------------------
+
+// fpOf is the test fingerprint of key i.
+func fpOf(i uint64) sched.Fingerprint {
+	var h sched.FP
+	h.Word(i)
+	return h.Sum()
+}
+
+// TestDedupStoreGrowthExact: a store starts at one probe window per shard
+// and grows as states arrive; below its bound it is an exact set. A seeded
+// stream of fresh states and revisits must get the answers of a reference
+// map, with no eviction, while the tables double several times without ever
+// passing the bound.
+func TestDedupStoreGrowthExact(t *testing.T) {
+	const shards = 4
+	const mem = shards * 8192 * dedupEntryBytes // bound: 8192 slots per shard
+	const keys = 6000                           // ~1500 per shard: tables stop at 4096
+	st := newDedupStore(mem, shards)
+	bound := st.shards[0].bound
+	if bound != 8192 {
+		t.Fatalf("bound %d slots per shard, want 8192", bound)
+	}
+	if c := st.snapshot().Capacity; c != shards*dedupProbeWindow {
+		t.Fatalf("initial capacity %d, want one probe window per shard (%d)", c, shards*dedupProbeWindow)
+	}
+	ref := make(map[uint64]bool)
+	x := uint64(1)
+	for i := 0; i < 5*keys; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		k := x % keys
+		if got, want := st.visit(fpOf(k)), ref[k]; got != want {
+			t.Fatalf("visit %d of key %d: visited=%v, reference map says %v", i, k, got, want)
+		}
+		ref[k] = true
+	}
+	d := st.snapshot()
+	if d.Evictions != 0 {
+		t.Fatalf("evictions below the bound: %+v", d)
+	}
+	if d.States != int64(len(ref)) || d.Occupied != len(ref) || d.Lookups != 5*keys || d.Hits+d.States != d.Lookups {
+		t.Fatalf("counters disagree with the reference map (%d states): %+v", len(ref), d)
+	}
+	for _, sh := range st.shardStats() {
+		if sh.Capacity <= dedupProbeWindow || sh.Capacity >= bound {
+			t.Fatalf("shard %d capacity %d: want grown past %d and below the bound %d", sh.Shard, sh.Capacity, dedupProbeWindow, bound)
+		}
+		if 2*sh.Occupied > sh.Capacity {
+			t.Fatalf("shard %d more than half full: %+v", sh.Shard, sh)
+		}
+	}
+}
+
+// TestDedupStoreGrowsOnFullWindow: 48 fingerprints share one home slot in
+// every table up to 1024 slots and two homes at 2048, so they overflow a
+// probe window long before the table is half full, and only 4096 slots hold
+// them. Below the bound the store must grow — through rehashes that
+// themselves overflow a window and double again — rather than evict.
+func TestDedupStoreGrowsOnFullWindow(t *testing.T) {
+	st := newDedupStore(1<<20, 1)
+	const keys = 3 * dedupProbeWindow
+	fp := func(k uint64) sched.Fingerprint { return sched.Fingerprint{Lo: k << 10, Hi: 1} }
+	for k := uint64(0); k < keys; k++ {
+		if st.visit(fp(k)) {
+			t.Fatalf("fresh colliding key %d reported visited", k)
+		}
+	}
+	for k := uint64(0); k < keys; k++ {
+		if !st.visit(fp(k)) {
+			t.Fatalf("colliding key %d was lost", k)
+		}
+	}
+	d := st.snapshot()
+	if d.Evictions != 0 || d.States != keys || d.Occupied != keys {
+		t.Fatalf("colliding keys evicted below the bound: %+v", d)
+	}
+	if d.Capacity < 4096 {
+		t.Fatalf("capacity %d: the colliding keys fit only in 4096 slots", d.Capacity)
+	}
+}
+
+// TestDedupStoreRehashOverflow: a rehash copies entries in old-slot order,
+// so a window that fit in the old table can overflow in the doubled one.
+// The keys below are built for that: sixteen keys homed at 62 (mod 128)
+// wrap around the end of the 64-slot table, a key homed at 64 follows them,
+// and sixteen fillers elsewhere trigger the doubling to 128, where the
+// wrapped keys are copied first and the last of the sixteen finds its window
+// full. Below the bound the store doubles again and keeps every key; at a
+// 128-slot bound the window drops its oldest entry, the first key inserted.
+func TestDedupStoreRehashOverflow(t *testing.T) {
+	var keys []sched.Fingerprint
+	for k := uint64(0); k < 16; k++ {
+		keys = append(keys, sched.Fingerprint{Lo: 62 + 128*k})
+	}
+	keys = append(keys, sched.Fingerprint{Lo: 64})
+	for j := uint64(0); j < 16; j++ {
+		keys = append(keys, sched.Fingerprint{Lo: 20 + j})
+	}
+	for _, tc := range []struct {
+		bound, capacity int
+		evictions       int64
+	}{
+		{bound: 4096, capacity: 256},
+		{bound: 128, capacity: 128, evictions: 1},
+	} {
+		st := newDedupStore(tc.bound*dedupEntryBytes, 1)
+		for i, fp := range keys {
+			if st.visit(fp) {
+				t.Fatalf("bound %d: fresh key %d reported visited", tc.bound, i)
+			}
+		}
+		d := st.snapshot()
+		if d.Capacity != tc.capacity || d.Evictions != tc.evictions || int64(d.Occupied) != d.States-d.Evictions {
+			t.Fatalf("bound %d: want %d slots and %d evictions: %+v", tc.bound, tc.capacity, tc.evictions, d)
+		}
+		for i := len(keys) - 1; i >= 0; i-- {
+			want := tc.evictions == 0 || i > 0
+			if got := st.visit(keys[i]); got != want {
+				t.Fatalf("bound %d: key %d visited=%v, want %v", tc.bound, i, got, want)
+			}
+		}
+	}
+}
+
+// TestDedupStoreCapacityBound: fed far more states than its bound holds, a
+// growing store stops at its DedupMem bound and evicts from there on, with
+// its counters reconciling throughout.
+func TestDedupStoreCapacityBound(t *testing.T) {
+	for _, tc := range []struct{ mem, shards int }{
+		{1, 1},
+		{4096 * dedupEntryBytes, 1},
+		{1 << 16, 8},
+		{1000 * dedupEntryBytes, 2}, // per-shard share 500 rounds down to 256
+	} {
+		st := newDedupStore(tc.mem, tc.shards)
+		bound := st.shards[0].bound
+		if tc.mem >= dedupProbeWindow*dedupEntryBytes*tc.shards && bound*tc.shards*dedupEntryBytes > tc.mem {
+			t.Fatalf("mem %d: bound %d slots x %d shards exceeds the budget", tc.mem, bound, tc.shards)
+		}
+		limit := bound * len(st.shards)
+		for i := uint64(0); i < uint64(4*limit); i++ {
+			st.visit(fpOf(i))
+			if i%97 == 0 {
+				st.visit(fpOf(i / 2)) // revisits: some hit, some re-insert
+			}
+			if c := st.snapshot().Capacity; c > limit {
+				t.Fatalf("mem %d: capacity %d passed the bound %d", tc.mem, c, limit)
+			}
+		}
+		d := st.snapshot()
+		if d.Capacity != limit || d.Evictions == 0 {
+			t.Fatalf("mem %d: want a full store (%d slots) that evicts: %+v", tc.mem, limit, d)
+		}
+		if d.Hits+d.States != d.Lookups || int64(d.Occupied) != d.States-d.Evictions || d.Occupied > d.Capacity {
+			t.Fatalf("mem %d: counters do not reconcile: %+v", tc.mem, d)
+		}
+	}
+}
+
+// TestDedupStoreGrowthConcurrentHammer: many goroutines racing on a store
+// that starts small and doubles many times under them. Below the bound every
+// fingerprint still has exactly one inserter — a probe that read a grown-out
+// table must fall back and re-probe the current one — and on a store that
+// reaches its bound mid-race the counters still reconcile, with rehash
+// evictions counted like insert evictions.
+func TestDedupStoreGrowthConcurrentHammer(t *testing.T) {
+	const workers = 8
+	hammer := func(st *dedupStore, keys, visits uint64) []atomic.Int64 {
+		fresh := make([]atomic.Int64, keys)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(seed uint64) {
+				defer wg.Done()
+				for i := uint64(0); i < visits; i++ {
+					// A different stride per worker lands first visits on
+					// different keys across workers.
+					j := (i*(2*seed+1) + seed) % keys
+					if !st.visit(fpOf(j)) {
+						fresh[j].Add(1)
+					}
+				}
+			}(uint64(w))
+		}
+		wg.Wait()
+		return fresh
+	}
+	reconcile := func(name string, st *dedupStore, lookups int64) DedupStats {
+		d := st.snapshot()
+		if d.Lookups != lookups || d.Hits+d.States != d.Lookups {
+			t.Fatalf("%s: hits %d + inserts %d vs lookups %d (want %d)", name, d.Hits, d.States, d.Lookups, lookups)
+		}
+		if int64(d.Occupied) != d.States-d.Evictions || d.Occupied > d.Capacity {
+			t.Fatalf("%s: occupancy %d, inserts %d, evictions %d, capacity %d", name, d.Occupied, d.States, d.Evictions, d.Capacity)
+		}
+		return d
+	}
+
+	// Below the bound: 16 slots per shard doubling to 8192, exact.
+	const keys = 12000
+	exact := newDedupStore(4*32768*dedupEntryBytes, 4)
+	fresh := hammer(exact, keys, 2*keys)
+	for k := range fresh {
+		if got := fresh[k].Load(); got != 1 {
+			t.Fatalf("fingerprint %d inserted %d times, want exactly 1", k, got)
+		}
+	}
+	if d := reconcile("exact", exact, workers*2*keys); d.States != keys || d.Evictions != 0 || d.Capacity <= 4*dedupProbeWindow {
+		t.Fatalf("exact: want %d states, no eviction and grown tables: %+v", keys, d)
+	}
+
+	// Growing into the bound: 16 slots to 256 in one shard, then eviction.
+	bounded := newDedupStore(256*dedupEntryBytes, 1)
+	hammer(bounded, 1024, 4096)
+	if d := reconcile("bounded", bounded, workers*4096); d.Capacity != 256 || d.Evictions == 0 {
+		t.Fatalf("bounded: want a full 256-slot store that evicts: %+v", d)
+	}
+}

@@ -82,8 +82,10 @@ type Config struct {
 	// workers); the sequential explorer stays deterministic.
 	Dedup bool
 	// DedupMem bounds the visited-state store's memory in bytes (0 =
-	// DefaultDedupMem). When the store fills, the eviction policy drops old
-	// states — which costs reduction, never soundness.
+	// DefaultDedupMem). It is a bound, not an allocation: the store grows
+	// with the states it holds, and only once it reaches the bound does the
+	// eviction policy drop old states — which costs reduction, never
+	// soundness.
 	DedupMem int
 	// DedupShards is the store's lock-stripe count, rounded up to a power of
 	// two (0 = DefaultDedupShards).
@@ -266,6 +268,7 @@ type scripted struct {
 	symmetric bool
 	canon     func(any) any
 	symFP     *sched.FP
+	plainFP   *sched.FP // reusable plain accumulator; a local would escape into fpFn
 
 	// Batched-grant state (batch == false: every decision goes through a
 	// Next consultation). altsAt caches the final (post-prune) alternative
@@ -373,7 +376,11 @@ func (s *scripted) fingerprint(v sched.View) sched.Fingerprint {
 	if s.symmetric {
 		return s.symFingerprint(v)
 	}
-	var h sched.FP
+	if s.plainFP == nil {
+		s.plainFP = new(sched.FP)
+	}
+	h := s.plainFP
+	h.Reset()
 	for i := range v.Pending {
 		h.Label(v.Pending[i])
 		h.Bool(v.Crashed[i])
@@ -382,8 +389,8 @@ func (s *scripted) fingerprint(v sched.View) sched.Fingerprint {
 		h.Word(obs.Lo)
 		h.Word(obs.Hi)
 	}
-	s.foldPrev(&h)
-	s.fpFn(&h)
+	s.foldPrev(h)
+	s.fpFn(h)
 	return h.Sum()
 }
 

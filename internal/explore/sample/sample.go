@@ -83,7 +83,8 @@ type Config struct {
 	// directions, never a checker input.
 	Coverage bool
 	// CoverageMem bounds the estimator store in bytes (0 =
-	// explore.DefaultDedupMem); CoverageShards its lock stripes.
+	// explore.DefaultDedupMem); the store grows with the states it holds
+	// up to that bound. CoverageShards is its lock-stripe count.
 	CoverageMem    int
 	CoverageShards int
 	// Checkpoints is the number of Stats.Series points recorded across the

@@ -14,6 +14,7 @@ package sessions
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"mpcn/internal/agreement"
@@ -69,28 +70,35 @@ func SafeAgreement(n, probes int, starved *atomic.Int64) func() explore.Session 
 	}
 }
 
-// XSafe checks x_safe_agreement the same way for consensus number x.
+// XSafe checks x_safe_agreement the same way for consensus number x. Like
+// CommitAdopt, each session builds its bodies and its object once and resets
+// the object between runs; the factory's SET_LIST is shared by all sessions.
 func XSafe(n, x, probes int) func() explore.Session {
+	f := agreement.NewXSafeFactory(n, x, nil)
 	return func() explore.Session {
 		var decided []any
 		var xs *agreement.XSafeAgreement
+		bodies := make([]sched.Proc, n)
+		for i := range bodies {
+			v := 100 + i
+			bodies[i] = func(e *sched.Env) {
+				xs.Propose(e, v)
+				for p := 0; p < probes; p++ {
+					if got, ok := xs.TryDecide(e); ok {
+						decided = append(decided, got)
+						e.Decide(got)
+						return
+					}
+				}
+			}
+		}
 		return explore.Session{
 			Make: func() []sched.Proc {
 				decided = decided[:0]
-				xs = agreement.NewXSafeFactory(n, x, nil).New("xsa")
-				bodies := make([]sched.Proc, n)
-				for i := range bodies {
-					v := 100 + i
-					bodies[i] = func(e *sched.Env) {
-						xs.Propose(e, v)
-						for p := 0; p < probes; p++ {
-							if got, ok := xs.TryDecide(e); ok {
-								decided = append(decided, got)
-								e.Decide(got)
-								return
-							}
-						}
-					}
+				if xs == nil {
+					xs = f.New("xsa")
+				} else {
+					xs.Reset()
 				}
 				return bodies
 			},
@@ -399,14 +407,22 @@ func StoreBuffer(backend reg.Backend) func() explore.Session {
 // top-level state (Sub is a zero FP on a plain accumulator).
 func foldMultiset(h *sched.FP, n int, fold func(i int, t *sched.FP)) {
 	var sum uint64
-	for i := 0; i < n; i++ {
-		t := h.Sub()
-		fold(i, &t)
-		sum += sched.Mix(t.Sum().Lo)
+	if n > 0 {
+		t := subPool.Get().(*sched.FP)
+		for i := 0; i < n; i++ {
+			*t = h.Sub()
+			fold(i, t)
+			sum += sched.Mix(t.Sum().Lo)
+		}
+		subPool.Put(t)
 	}
 	h.Int(n)
 	h.Word(sum)
 }
+
+// subPool recycles foldMultiset's per-entry accumulators: a local one handed
+// to the fold callback would escape to the heap on every call.
+var subPool = sync.Pool{New: func() any { return new(sched.FP) }}
 
 // eraseProposals returns the symmetry Canon of the proposal-value sessions:
 // the distinct per-process inputs 100..100+n-1 all map to one tag, so runs

@@ -12,9 +12,10 @@ import "mpcn/internal/sched"
 
 // VisitedStore is a bounded-memory, lock-striped set of state fingerprints —
 // the same store Config.Dedup builds internally, usable standalone. It is
-// safe for concurrent use; memory is strictly bounded (a full probe window
-// evicts its oldest entry), so once eviction starts the distinct-state
-// count OVER-counts: an evicted fingerprint that reappears is counted again
+// safe for concurrent use; its tables grow with the states they hold and
+// its memory is strictly bounded (at the bound, a full probe window evicts
+// its oldest entry), so once eviction starts the distinct-state count
+// OVER-counts: an evicted fingerprint that reappears is counted again
 // as a fresh insert. The count is exact until the first eviction and an
 // upper estimate after — treat a flat curve as meaningful (genuinely no new
 // states) and a climbing one under eviction pressure with suspicion.
@@ -22,7 +23,7 @@ type VisitedStore struct {
 	st *dedupStore
 }
 
-// NewVisitedStore sizes a store to memBytes (0 = DefaultDedupMem) across
+// NewVisitedStore bounds a store to memBytes (0 = DefaultDedupMem) across
 // shards lock stripes (0 = DefaultDedupShards, rounded up to a power of two).
 func NewVisitedStore(memBytes, shards int) *VisitedStore {
 	return &VisitedStore{st: newDedupStore(memBytes, shards)}

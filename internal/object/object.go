@@ -63,6 +63,9 @@ func (t *TestAndSet) Fingerprint(h *sched.FP) {
 	h.Bool(t.set)
 }
 
+// Reset returns the object to its unset state, keeping its interned label.
+func (t *TestAndSet) Reset() { t.set = false }
+
 // IsSet reports whether the object has been won. It is a harness/checker-side
 // accessor: it takes no scheduling step and must not be called from process
 // bodies mid-run.
@@ -270,6 +273,14 @@ func NewXConsensus(name string, x int, portIDs []sched.ProcID) *XConsensus {
 		x:        x,
 		proposed: make(map[sched.ProcID]bool),
 	}
+}
+
+// Reset returns the object to its freshly constructed state — undecided,
+// with no port proposed — keeping its label and port set, so replay engines
+// can reuse one object across runs.
+func (c *XConsensus) Reset() {
+	c.decided, c.value = false, nil
+	clear(c.proposed)
 }
 
 // X returns the object's consensus number (its port capacity).

@@ -303,3 +303,56 @@ func TestCheckerSideAccessors(t *testing.T) {
 		t.Fatal("Items aliases internal state")
 	}
 }
+
+// digest folds one object's fingerprint.
+func digest(f sched.Fingerprinter) sched.Fingerprint {
+	var h sched.FP
+	f.Fingerprint(&h)
+	return h.Sum()
+}
+
+func TestTestAndSetResetFingerprintsFresh(t *testing.T) {
+	ts := NewTestAndSet("ts")
+	fresh := digest(NewTestAndSet("ts"))
+	runOne(t, func(e *sched.Env) {
+		ts.TestAndSet(e)
+		e.Decide(0)
+	})
+	if digest(ts) == fresh {
+		t.Fatal("a won test&set fingerprints like a fresh one")
+	}
+	ts.Reset()
+	if digest(ts) != fresh || ts.IsSet() {
+		t.Fatal("reset test&set differs from a fresh one")
+	}
+}
+
+func TestXConsensusResetFingerprintsFresh(t *testing.T) {
+	ports := []sched.ProcID{0, 1}
+	c := NewXConsensus("xc", 2, ports)
+	fresh := digest(NewXConsensus("xc", 2, ports))
+	run := func() {
+		bodies := []sched.Proc{
+			func(e *sched.Env) { e.Decide(c.Propose(e, "a")) },
+			func(e *sched.Env) { e.Decide(c.Propose(e, "b")) },
+		}
+		if _, err := sched.Run(sched.Config{}, bodies); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	used := digest(c)
+	if used == fresh {
+		t.Fatal("a decided x-consensus fingerprints like a fresh one")
+	}
+	c.Reset()
+	if digest(c) != fresh {
+		t.Fatal("reset x-consensus fingerprints unlike a fresh one")
+	}
+	// Every port may propose again after a reset, and the same schedule
+	// reaches the same state.
+	run()
+	if digest(c) != used {
+		t.Fatal("a reset x-consensus diverged from its first run")
+	}
+}

@@ -21,6 +21,7 @@ type Register[T any] struct {
 	readL  sched.Label
 	writeL sched.Label
 	v      T
+	init   T
 }
 
 // New returns a register named name holding the zero value of T.
@@ -35,9 +36,14 @@ func New[T any](name string) *Register[T] {
 // NewWith returns a register named name initialized to init.
 func NewWith[T any](name string, init T) *Register[T] {
 	r := New[T](name)
-	r.v = init
+	r.v, r.init = init, init
 	return r
 }
+
+// Reset returns the register to the value it was constructed with, without
+// re-interning its step labels, so replay engines can reuse one register
+// across runs.
+func (r *Register[T]) Reset() { r.v = r.init }
 
 // Read atomically reads the register.
 func (r *Register[T]) Read(e *sched.Env) T {

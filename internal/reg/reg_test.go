@@ -121,3 +121,31 @@ func TestQuickLastWriterWins(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestRegisterResetFingerprintsFresh(t *testing.T) {
+	digest := func(r *Register[int]) sched.Fingerprint {
+		var h sched.FP
+		r.Fingerprint(&h)
+		return h.Sum()
+	}
+	for _, mk := range []func() *Register[int]{
+		func() *Register[int] { return New[int]("rr") },
+		func() *Register[int] { return NewWith("rr", 41) },
+	} {
+		r := mk()
+		fresh := digest(mk())
+		if _, err := sched.Run(sched.Config{}, []sched.Proc{func(e *sched.Env) {
+			r.Write(e, 7)
+			e.Decide(0)
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if digest(r) == fresh {
+			t.Fatal("a written register fingerprints like a fresh one")
+		}
+		r.Reset()
+		if digest(r) != fresh {
+			t.Fatalf("reset register (value %d) fingerprints unlike a fresh one", r.v)
+		}
+	}
+}
