@@ -18,10 +18,11 @@ test: build vet
 
 # Allocation gate (CI's test job): the harness hot paths stay at zero heap
 # allocations per run (the commitadopt n=3 tree walk; a warm x_safe_agreement
-# Make+Fingerprint). The race detector changes allocation counts, so these
+# Make+Fingerprint; a warm coverage-sampling probe; observing a snapshot's
+# composite cells). The race detector changes allocation counts, so these
 # tests skip under `make test` and run here without it.
 alloc-gate: build
-	$(GO) test -count=1 -run TestAllocs ./internal/explore/sessions
+	$(GO) test -count=1 -run TestAllocs ./internal/explore/sessions ./internal/explore/sample ./internal/agreement
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -54,10 +54,12 @@ func (c saCell) Fingerprint(h *sched.FP) {
 
 // SafeAgreement is the safe_agreement object type of Figure 1, implemented
 // over an n-component snapshot object (one component per simulator). Each
-// simulator may invoke Propose at most once, then Decide/TryDecide.
+// simulator may invoke Propose at most once, then Decide/TryDecide. Every
+// scan of SM is consumed before the caller's next step, so the operations
+// read the snapshot's zero-copy view.
 type SafeAgreement struct {
 	name     string
-	sm       snapshot.Snapshot[saCell]
+	sm       *snapshot.Primitive[saCell]
 	proposed map[sched.ProcID]bool
 }
 
@@ -71,11 +73,9 @@ func NewSafeAgreement(name string, n int) *SafeAgreement {
 }
 
 // Fingerprint implements sched.Fingerprinter: it folds the SM snapshot and
-// the (unordered) set of simulators that already proposed. The backing
-// snapshot must itself be a sched.Fingerprinter (both provided
-// implementations are).
+// the (unordered) set of simulators that already proposed.
 func (s *SafeAgreement) Fingerprint(h *sched.FP) {
-	s.sm.(sched.Fingerprinter).Fingerprint(h)
+	s.sm.Fingerprint(h)
 	h.ProcSet(s.proposed)
 }
 
@@ -92,7 +92,7 @@ func (s *SafeAgreement) Propose(e *sched.Env, v any) {
 	s.proposed[e.ID()] = true
 
 	s.sm.Update(e, i, saCell{value: v, level: saUnstable}) // line 01
-	sm := s.sm.Scan(e)                                     // line 02
+	sm := s.sm.ScanView(e)                                 // line 02
 	stable := false
 	for _, c := range sm {
 		if c.level == saStable {
@@ -112,7 +112,7 @@ func (s *SafeAgreement) Propose(e *sched.Env, v any) {
 // stable, and (nil, false) otherwise. The returned value is the stable value
 // of the smallest simulator index (line 05), so all deciders agree.
 func (s *SafeAgreement) TryDecide(e *sched.Env) (any, bool) {
-	sm := s.sm.Scan(e)
+	sm := s.sm.ScanView(e)
 	for _, c := range sm {
 		if c.level == saUnstable {
 			return nil, false

@@ -15,6 +15,8 @@ package algorithms
 import (
 	"fmt"
 	"sort"
+
+	"mpcn/internal/sched"
 )
 
 // API is the operation set available to one process of a simulated
@@ -56,11 +58,12 @@ type Algorithm interface {
 }
 
 // asInt coerces a task value to int; the bundled algorithms order proposals,
-// so they require integer inputs.
-func asInt(v any, who string) int {
+// so they require integer inputs. who is named only in the panic, so the
+// hot path formats nothing.
+func asInt(v any, who Algorithm) int {
 	i, ok := v.(int)
 	if !ok {
-		panic(fmt.Sprintf("algorithms: %s requires int values, got %T", who, v))
+		panic(fmt.Sprintf("algorithms: %s requires int values, got %T", who.Name(), v))
 	}
 	return i
 }
@@ -106,7 +109,7 @@ func (a SnapshotKSet) Run(api API) {
 				continue
 			}
 			seen++
-			iv := asInt(v, a.Name())
+			iv := asInt(v, a)
 			if !have || iv < min {
 				min, have = iv, true
 			}
@@ -248,7 +251,7 @@ func (a GroupedKSet) Run(api API) {
 			if v == nil {
 				continue
 			}
-			iv := asInt(v, a.Name())
+			iv := asInt(v, a)
 			if !have || iv < min {
 				min, have = iv, true
 			}
@@ -265,6 +268,13 @@ func (a GroupedKSet) Run(api API) {
 type renameCell struct {
 	orig int
 	prop int
+}
+
+// Fingerprint implements sched.Fingerprinter so published cells fold
+// structurally wherever a snapshot of them is observed or fingerprinted.
+func (c renameCell) Fingerprint(h *sched.FP) {
+	h.Int(c.orig)
+	h.Int(c.prop)
 }
 
 // Renaming is the classic wait-free (2n-1)-renaming algorithm of Attiya et
@@ -286,7 +296,7 @@ func (Renaming) Objects(n int) [][]int { return nil }
 
 // Run implements Algorithm.
 func (a Renaming) Run(api API) {
-	orig := asInt(api.Input(), a.Name())
+	orig := asInt(api.Input(), a)
 	prop := 0
 	for {
 		api.Write(renameCell{orig: orig, prop: prop})

@@ -25,6 +25,8 @@ package bg
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
 
 	"mpcn/internal/algorithms"
 	"mpcn/internal/coro"
@@ -104,6 +106,21 @@ type memCell struct {
 	sn  int
 }
 
+// memRow is one simulator's copy of the simulated memory, the value each
+// simulator publishes in its MEM component.
+type memRow []memCell
+
+// Fingerprint implements sched.Fingerprinter, so observed MEM components
+// fold structurally: the row length (a simulator that has not written yet
+// publishes a nil row), then each cell's value and sequence number.
+func (m memRow) Fingerprint(h *sched.FP) {
+	h.Int(len(m))
+	for _, c := range m {
+		h.Value(c.val)
+		h.Int(c.sn)
+	}
+}
+
 // agKey addresses the agreement object of the snapsn-th snapshot of
 // simulated process j (the SAFE_AG[j, snapsn] array of Figure 3).
 type agKey struct {
@@ -117,7 +134,7 @@ type engineRun struct {
 	n     int // simulated processes
 	ports [][]int
 
-	mem     *snapshot.Primitive[[]memCell]
+	mem     *snapshot.Primitive[memRow]
 	snapAG  map[agKey]Agreement
 	xconsAG map[int]Agreement
 	tas     []*object.TestAndSet // colored decision claiming (§5.5)
@@ -181,7 +198,7 @@ func New(cfg Config) (*engineRun, error) {
 		cfg:       cfg,
 		n:         n,
 		ports:     ports,
-		mem:       snapshot.NewPrimitive[[]memCell]("MEM", cfg.Simulators),
+		mem:       snapshot.NewPrimitive[memRow]("MEM", cfg.Simulators),
 		snapAG:    make(map[agKey]Agreement),
 		xconsAG:   make(map[int]Agreement),
 		decisions: make([]any, cfg.Simulators),
@@ -260,7 +277,7 @@ func (r *engineRun) snapAGAt(j, snapsn int) Agreement {
 	k := agKey{j: j, snapsn: snapsn}
 	ag, ok := r.snapAG[k]
 	if !ok {
-		ag = r.cfg.NewAgreement(fmt.Sprintf("SAFE_AG[%d,%d]", j, snapsn))
+		ag = r.cfg.NewAgreement(agNames.snapName(k))
 		r.snapAG[k] = ag
 	}
 	return ag
@@ -270,17 +287,53 @@ func (r *engineRun) snapAGAt(j, snapsn int) Agreement {
 func (r *engineRun) xconsAGAt(a int) Agreement {
 	ag, ok := r.xconsAG[a]
 	if !ok {
-		ag = r.cfg.NewAgreement(fmt.Sprintf("XSAFE_AG[%d]", a))
+		ag = r.cfg.NewAgreement(agNames.xconsName(a))
 		r.xconsAG[a] = ag
 	}
 	return ag
+}
+
+// agNames keeps the names of the lazily created agreement objects across
+// runs and engines: every run creates the same SAFE_AG[j,sn] and
+// XSAFE_AG[a] objects, and the names — like the step labels the objects
+// intern from them — live as long as the process.
+var agNames = agNameTable{snap: make(map[agKey]string), xcons: make(map[int]string)}
+
+type agNameTable struct {
+	mu    sync.Mutex
+	snap  map[agKey]string
+	xcons map[int]string
+}
+
+// snapName returns "SAFE_AG[j,snapsn]".
+func (t *agNameTable) snapName(k agKey) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	name, ok := t.snap[k]
+	if !ok {
+		name = "SAFE_AG[" + strconv.Itoa(k.j) + "," + strconv.Itoa(k.snapsn) + "]"
+		t.snap[k] = name
+	}
+	return name
+}
+
+// xconsName returns "XSAFE_AG[a]".
+func (t *agNameTable) xconsName(a int) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	name, ok := t.xcons[a]
+	if !ok {
+		name = "XSAFE_AG[" + strconv.Itoa(a) + "]"
+		t.xcons[a] = name
+	}
+	return name
 }
 
 // simulatorState is the per-simulator local state: its copy of the simulated
 // memory, sequence counters, cached x_cons results, the two thread-local
 // mutexes and the decisions its threads produced.
 type simulatorState struct {
-	memi   []memCell
+	memi   memRow
 	wSN    []int
 	snapSN []int
 	xres   map[int]any
@@ -298,7 +351,7 @@ type simulatorState struct {
 func (r *engineRun) simulatorBody(i int) sched.Proc {
 	return func(e *sched.Env) {
 		sim := &simulatorState{
-			memi:    make([]memCell, r.n),
+			memi:    make(memRow, r.n),
 			wSN:     make([]int, r.n),
 			snapSN:  make([]int, r.n),
 			xres:    make(map[int]any),
@@ -394,7 +447,7 @@ func (a *simAPI) Write(v any) {
 	if a.r.onWrite != nil {
 		a.r.onWrite(a.i, a.j, sim.wSN[a.j], v)
 	}
-	snap := make([]memCell, len(sim.memi))
+	snap := make(memRow, len(sim.memi))
 	copy(snap, sim.memi)
 	a.r.mem.Update(a.e, a.i, snap) // line 03
 	a.y.Yield()                    // fair interleaving of the simulator's threads (§2.4)
@@ -404,7 +457,7 @@ func (a *simAPI) Write(v any) {
 func (a *simAPI) Snapshot() []any {
 	r, sim := a.r, a.sim
 
-	sm := r.mem.Scan(a.e) // line 01
+	sm := r.mem.ScanView(a.e) // line 01; read before the thread's next step
 	input := make([]any, r.n)
 	for y := 0; y < r.n; y++ { // lines 02-03: adopt the most advanced write
 		best := memCell{}

@@ -51,10 +51,24 @@ type annCell struct {
 	v     any
 }
 
+// Fingerprint implements sched.Fingerprinter so announcements observed
+// through the ANN snapshot fold without fmt formatting.
+func (c annCell) Fingerprint(h *sched.FP) {
+	h.Int(c.round)
+	h.Value(c.v)
+}
+
 // decCell is the published decision.
 type decCell struct {
 	set bool
 	v   any
+}
+
+// Fingerprint implements sched.Fingerprinter so reads of DEC fold without
+// fmt formatting.
+func (c decCell) Fingerprint(h *sched.FP) {
+	h.Bool(c.set)
+	h.Value(c.v)
 }
 
 // NewBoostedConsensus returns a consensus object for processes 0..n-1 built

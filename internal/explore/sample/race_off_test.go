@@ -1,0 +1,7 @@
+//go:build !race
+
+package sample
+
+// raceEnabled reports whether the race detector is compiled in; it changes
+// allocation counts, so the allocation gates skip under it.
+const raceEnabled = false

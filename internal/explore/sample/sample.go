@@ -213,9 +213,12 @@ type adversary struct {
 	choices    []Choice
 	altsBuf    []Choice
 
-	// Coverage fields (nil store = estimator off).
+	// Coverage fields (nil store = estimator off). fp is the probe's
+	// accumulator, cleared per probe: a local would escape through the
+	// indirect fpFn call and cost one heap object per consultation.
 	store *explore.VisitedStore
 	fpFn  func(*sched.FP)
+	fp    sched.FP
 }
 
 var _ sched.Adversary = (*adversary)(nil)
@@ -230,7 +233,8 @@ func (a *adversary) reset() {
 // walker's dedup fingerprint, minus its POR context), plus the harness
 // digest when the session carries one.
 func (a *adversary) fingerprint(v sched.View) sched.Fingerprint {
-	var h sched.FP
+	h := &a.fp
+	h.Reset()
 	for i := range v.Pending {
 		h.Label(v.Pending[i])
 		h.Bool(v.Crashed[i])
@@ -240,7 +244,7 @@ func (a *adversary) fingerprint(v sched.View) sched.Fingerprint {
 		h.Word(obs.Hi)
 	}
 	if a.fpFn != nil {
-		a.fpFn(&h)
+		a.fpFn(h)
 	}
 	return h.Sum()
 }

@@ -141,7 +141,7 @@ func (a *RegularArray[T]) Len() int { return len(a.cells) }
 // Read samples the currently visible value of cell i in one step.
 func (a *RegularArray[T]) Read(e *sched.Env, i int) T {
 	e.StepL(a.readL[i])
-	sched.Observe(e, a.visible[i])
+	sched.ObserveAt(e, &a.visible[i])
 	return a.visible[i]
 }
 
@@ -169,8 +169,8 @@ func (a *RegularArray[T]) Fingerprint(h *sched.FP) {
 	h.Label(a.writeL[0])
 	for i := range a.cells {
 		t := h.Lane(sched.ProcID(i))
-		t.Value(a.cells[i])
-		t.Value(a.visible[i])
+		sched.ValueAt(t, &a.cells[i])
+		sched.ValueAt(t, &a.visible[i])
 	}
 }
 
@@ -225,11 +225,11 @@ func (a *TSOArray[T]) Read(e *sched.Env, i int) T {
 	buf := a.buf[e.ID()]
 	for k := len(buf) - 1; k >= 0; k-- {
 		if buf[k].cell == i {
-			sched.Observe(e, buf[k].v)
+			sched.ObserveAt(e, &buf[k].v)
 			return buf[k].v
 		}
 	}
-	sched.Observe(e, a.mem[i])
+	sched.ObserveAt(e, &a.mem[i])
 	return a.mem[i]
 }
 
@@ -259,14 +259,14 @@ func (a *TSOArray[T]) Flush(e *sched.Env) {
 func (a *TSOArray[T]) Fingerprint(h *sched.FP) {
 	h.Label(a.writeL[0])
 	for i := range a.mem {
-		h.Lane(sched.ProcID(i)).Value(a.mem[i])
+		sched.ValueAt(h.Lane(sched.ProcID(i)), &a.mem[i])
 	}
 	for p := range a.buf {
 		t := h.Lane(sched.ProcID(p))
 		t.Int(len(a.buf[p]))
-		for _, ent := range a.buf[p] {
-			t.Int(ent.cell)
-			t.Value(ent.v)
+		for k := range a.buf[p] {
+			t.Int(a.buf[p][k].cell)
+			sched.ValueAt(t, &a.buf[p][k].v)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Fingerprint is a 128-bit canonical digest of a run state, computed at a
 // decision boundary (every process parked or finished, no step in flight).
@@ -22,9 +25,8 @@ type Fingerprint struct {
 // maps).
 //
 // The zero FP is a plain value (two words, no heap state): hashing allocates
-// nothing as long as the values folded are label IDs, integers and booleans.
-// Value falls back to reflection-free type switching and, as a last resort,
-// to fmt formatting (which allocates) for exotic types.
+// nothing as long as the values folded are label IDs, integers, booleans,
+// []any views of those, and Fingerprinter cells folded in place (ValueAt).
 //
 // NewOrbitFP builds an FP in orbit-canonical mode: it additionally carries
 // one digest lane per process, and Sum folds the lane digests in sorted
@@ -196,6 +198,7 @@ const (
 	fpTagProc
 	fpTagOther
 	fpTagOwnCell
+	fpTagSlice
 )
 
 // SymLabel folds an interned label the way a symmetric per-process lane
@@ -220,11 +223,14 @@ func (h *FP) SymLabel(l Label) {
 }
 
 // Value folds a dynamically-typed value, as stored in registers, snapshots
-// and decision logs. Common scalar types are folded without allocation;
-// values implementing Fingerprinter fold themselves (the hook composite cell
-// types use); anything else falls back to fmt formatting, which allocates —
-// acceptable for rare types, but hot-path state should stick to scalars or
-// implement Fingerprinter.
+// and decision logs. Common scalar types fold without allocation; a []any
+// (a snapshot view, as BG's simulated snapshots return) folds as a type tag,
+// its length and each element through Value; values implementing
+// Fingerprinter fold themselves. Every value a registered spec observes or
+// fingerprints is one of these. The last-resort fmt formatting of any other
+// type allocates and grows the caller's stack; it exists for ad-hoc callers
+// (tests, one-off tools), and the registry's fallback guard test fails if a
+// registered spec reaches it.
 func (h *FP) Value(v any) {
 	if h.orb != nil && h.orb.canon != nil {
 		v = h.orb.canon(v)
@@ -259,12 +265,42 @@ func (h *FP) Value(v any) {
 	case ProcID:
 		h.Word(fpTagProc)
 		h.Int(int(t))
+	case []any:
+		h.Word(fpTagSlice)
+		h.Int(len(t))
+		for _, x := range t {
+			h.Value(x)
+		}
 	case Fingerprinter:
 		t.Fingerprint(h)
 	default:
+		typ := fmt.Sprintf("%T", v)
+		fallbackTypes.Store(typ, true)
 		h.Word(fpTagOther)
-		h.String(fmt.Sprintf("%T:%v", v, v))
+		h.String(typ + ":" + fmt.Sprint(v))
 	}
+}
+
+// fallbackTypes is the set of dynamic types (as "%T" strings) Value has
+// folded through its fmt fallback. Only that cold branch writes it; the
+// registered-spec guard test reads and clears it.
+var fallbackTypes sync.Map // string -> bool
+
+// ValueAt folds the cell *p as Value(*p) does, except that a Fingerprinter
+// cell folds through the pointer instead of being boxed into an interface —
+// for a composite cell type (a struct or a named slice with a Fingerprint
+// method) that conversion allocates on every fold. The words folded are the
+// same; a Fingerprint method with a pointer receiver, which Value(*p) cannot
+// see, is used too. Object code folding and observing its cells in place
+// uses it. An orbit FP's canon hook sees the values such a cell folds
+// through Value, not the cell itself: canon hooks rewrite plain values
+// (proposals), which cells hold but never are.
+func ValueAt[T any](h *FP, p *T) {
+	if f, ok := any(p).(Fingerprinter); ok {
+		f.Fingerprint(h)
+		return
+	}
+	h.Value(*p)
 }
 
 // Sum finalizes the accumulated state into a Fingerprint. Sum does not
@@ -326,12 +362,22 @@ func (h *FP) orbitSum() Fingerprint {
 // CAS, an oracle's output. Writes need no observation (no information flows
 // back into the process). The digests make each process's local state a
 // function of its fingerprintable history; replay engines rely on that for
-// state deduplication.
+// state deduplication. Objects observing a stored cell use ObserveAt.
 func Observe[T any](e *Env, v T) {
 	if !e.s.cfg.Observe {
 		return
 	}
 	e.s.obs[e.id].Value(v)
+}
+
+// ObserveAt is Observe(e, *p) without the interface conversion: the cell is
+// folded in place through ValueAt, so observing a composite Fingerprinter
+// cell (a struct, a named slice) allocates nothing.
+func ObserveAt[T any](e *Env, p *T) {
+	if !e.s.cfg.Observe {
+		return
+	}
+	ValueAt(&e.s.obs[e.id], p)
 }
 
 // ProcSet folds an unordered process set commutatively (membership-counted,

@@ -11,6 +11,9 @@ package sched
 //   - The length-prefixed String fold must keep differently-split
 //     concatenations apart, and Value's type tags must keep same-bits
 //     values of different types apart.
+//   - []any views must fold structurally: equal nested views fold equal,
+//     and a view of integers never collides with the string its fmt
+//     rendering spells.
 
 import (
 	"encoding/binary"
@@ -120,6 +123,36 @@ func FuzzFP(f *testing.F) {
 				t.Fatalf("type tags collapsed for %#x: int %v, uint64 %v, string %v",
 					w, hi.Sum(), hu.Sum(), hs.Sum())
 			}
+		}
+
+		// Slice folds: two independently built nested views of the input
+		// fold equal, and a view of integers stays apart from the one-string
+		// view of its rendering, which fmt's %v prints identically
+		// ([]any{1, 2} and []any{"1 2"} are both "[1 2]").
+		view := func() []any {
+			out := make([]any, 0, len(words)+1)
+			for i, w := range words {
+				if i%2 == 0 {
+					out = append(out, int(w))
+				} else {
+					out = append(out, []any{w, nil})
+				}
+			}
+			return append(out, s)
+		}
+		if valueSum(view()) != valueSum(view()) {
+			t.Fatalf("equal nested views of %x folded differently", data)
+		}
+		ints := make([]any, len(words))
+		for i, w := range words {
+			ints[i] = int(w)
+		}
+		spelled := []any{fmt.Sprint(ints...)}
+		if fmt.Sprint(ints) != fmt.Sprint(spelled) {
+			t.Fatalf("%v and %v no longer render alike", ints, spelled)
+		}
+		if valueSum(ints) == valueSum(spelled) {
+			t.Fatalf("view %v collided with %q", ints, spelled)
 		}
 	})
 }

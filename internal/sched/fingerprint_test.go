@@ -83,9 +83,11 @@ type fpHookVal struct{ v int }
 func (f fpHookVal) Fingerprint(h *FP) { h.Int(f.v) }
 
 // TestFPValueFallback: exotic types go through the fmt fallback and still
-// hash deterministically and distinctly.
+// hash deterministically and distinctly, and the fallback records their type
+// (what the registered-spec guard reads).
 func TestFPValueFallback(t *testing.T) {
 	type odd struct{ A, B int }
+	ResetFallbacks()
 	var h1, h2, h3 FP
 	h1.Value(odd{1, 2})
 	h2.Value(odd{1, 2})
@@ -96,7 +98,84 @@ func TestFPValueFallback(t *testing.T) {
 	if h1.Sum() == h3.Sum() {
 		t.Fatal("fallback collided on distinct values")
 	}
+	if got := FallbackTypes(); len(got) != 1 || got[0] != "sched.odd" {
+		t.Fatalf("fallback recorded %v, want [sched.odd]", got)
+	}
+	ResetFallbacks()
+	var h FP
+	h.Value([]any{1, "a", []any{true, nil}, Label(3), fpHookVal{2}})
+	if got := FallbackTypes(); len(got) != 0 {
+		t.Fatalf("structural values reached the fallback: %v", got)
+	}
 }
+
+// valueSum folds v through Value into a fresh FP.
+func valueSum(v any) Fingerprint {
+	var h FP
+	h.Value(v)
+	return h.Sum()
+}
+
+// TestFPValueSlices: []any snapshot views fold structurally — equal nested
+// views fold equal, and views fmt renders identically stay apart.
+func TestFPValueSlices(t *testing.T) {
+	nested := func() any { return []any{1, nil, []any{"x", uint64(2)}, []any{}} }
+	if valueSum(nested()) != valueSum(nested()) {
+		t.Fatal("equal nested views folded differently")
+	}
+	for _, pair := range [][2]any{
+		{[]any{1}, []any{"1"}},      // both "[1]" under %v
+		{[]any{1, 2}, []any{"1 2"}}, // both "[1 2]"
+		{[]any{[]any{1}, 2}, []any{1, []any{2}}},
+		{[]any{}, []any{nil}},
+		{[]any(nil), nil},
+		{[]any{1, 2}, []any{[]any{1, 2}}},
+	} {
+		if valueSum(pair[0]) == valueSum(pair[1]) {
+			t.Errorf("Value(%#v) and Value(%#v) collide", pair[0], pair[1])
+		}
+	}
+}
+
+// TestValueAtMatchesValue: folding a cell in place is byte-identical to
+// folding the cell's value, for Fingerprinter and plain cells alike, and an
+// orbit FP's canon hook still rewrites the values inside a cell.
+func TestValueAtMatchesValue(t *testing.T) {
+	hook := fpHookVal{9}
+	var a, b FP
+	ValueAt(&a, &hook)
+	b.Value(hook)
+	if a.Sum() != b.Sum() {
+		t.Fatal("ValueAt of a Fingerprinter cell differs from Value")
+	}
+	n, view := 1234, any([]any{1, "y"})
+	a, b = FP{}, FP{}
+	ValueAt(&a, &n)
+	ValueAt(&a, &view)
+	b.Value(n)
+	b.Value(view)
+	if a.Sum() != b.Sum() {
+		t.Fatal("ValueAt of plain cells differs from Value")
+	}
+	canon := func(v any) any {
+		if v == 100 {
+			return "proposal"
+		}
+		return v
+	}
+	cell := fpCell{100}
+	o1, o2 := NewOrbitFP(1, canon), NewOrbitFP(1, canon)
+	ValueAt(o1, &cell)
+	o2.Value(fpCell{"proposal"})
+	if o1.Sum() != o2.Sum() {
+		t.Fatal("the orbit canon hook missed a value folded by a cell")
+	}
+}
+
+// fpCell is a composite cell holding a dynamically-typed value.
+type fpCell struct{ v any }
+
+func (c fpCell) Fingerprint(h *FP) { h.Value(c.v) }
 
 // TestMixCommutativeFold: the documented unordered-collection recipe —
 // summing Mix-ed element digests — is insensitive to iteration order and

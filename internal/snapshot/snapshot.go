@@ -68,7 +68,7 @@ func (s *Primitive[T]) Scan(e *sched.Env) []T {
 	e.StepL(s.scanL)
 	if e.Observing() {
 		for i := range s.cells {
-			sched.Observe(e, s.cells[i])
+			sched.ObserveAt(e, &s.cells[i])
 		}
 	}
 	out := make([]T, len(s.cells))
@@ -86,7 +86,7 @@ func (s *Primitive[T]) ScanView(e *sched.Env) []T {
 	e.StepL(s.scanL)
 	if e.Observing() {
 		for i := range s.cells {
-			sched.Observe(e, s.cells[i])
+			sched.ObserveAt(e, &s.cells[i])
 		}
 	}
 	return s.cells
@@ -114,7 +114,7 @@ func (s *Primitive[T]) Len() int { return len(s.cells) }
 func (s *Primitive[T]) Fingerprint(h *sched.FP) {
 	h.Label(s.scanL)
 	for i := range s.cells {
-		h.Lane(sched.ProcID(i)).Value(s.cells[i])
+		sched.ValueAt(h.Lane(sched.ProcID(i)), &s.cells[i])
 	}
 }
 
@@ -161,7 +161,7 @@ type regArray[T any] struct {
 
 func (a *regArray[T]) read(e *sched.Env, i int) afekCell[T] {
 	e.StepL(a.readL[i])
-	sched.Observe(e, a.cells[i])
+	sched.ObserveAt(e, &a.cells[i])
 	return a.cells[i]
 }
 

@@ -31,6 +31,19 @@ type opDesc[O any] struct {
 	op   O
 }
 
+// Fingerprint implements sched.Fingerprinter so announce cells and log-slot
+// decisions fold structurally. An empty announce cell holds a typed-nil
+// *opDesc, which folds as nil.
+func (d *opDesc[O]) Fingerprint(h *sched.FP) {
+	if d == nil {
+		h.Value(nil)
+		return
+	}
+	h.Int(d.port)
+	h.Int(d.seq)
+	h.Value(d.op)
+}
+
 // Universal is the shared part of the construction. Each participating
 // process obtains a Handle and performs operations through it.
 type Universal[S, O, R any] struct {
