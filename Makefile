@@ -13,8 +13,10 @@ vet:
 
 # The parallel explorer is the repository's only real concurrency; keep the
 # whole suite race-clean.
+# Both engines' worker pools share one pool helper, so its context/parallel tests repeat 10x under -race.
 test: build vet
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'Context|Parallel|RunOneWorker' ./internal/explore ./internal/explore/sample
 
 # Allocation gate (CI's test job): the harness hot paths stay at zero heap
 # allocations per run (the commitadopt n=3 tree walk; a warm x_safe_agreement
@@ -28,9 +30,8 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Perf trajectory: exhaustive-sweep throughput for every registered spec
-# (sequential respawning baseline vs session-reuse vs parallel, each without
-# and with state-dedup where the spec supports it) recorded as
-# BENCH_explore.json. Fails if the best dedup runs-explored reduction drops
+# (sequential vs parallel session engine, each without and with state-dedup
+# where the spec supports it) recorded as BENCH_explore.json. Fails if the best dedup runs-explored reduction drops
 # below 2x.
 bench-json: build
 	$(GO) run ./cmd/benchexplore -o BENCH_explore.json

@@ -488,7 +488,7 @@ func BenchmarkParallelVsSequential(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := exploreBenchSession()
-			stats, err := explore.Explore(s.Make, s.Check, explore.Config{})
+			stats, err := explore.ExploreSession(s, explore.Config{})
 			verify(b, stats, err, wantRuns)
 		}
 	})
@@ -504,35 +504,25 @@ func BenchmarkParallelVsSequential(b *testing.B) {
 	b.Run("sequential-pruned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := exploreBenchSession()
-			stats, err := explore.Explore(s.Make, s.Check, explore.Config{Prune: true})
+			stats, err := explore.ExploreSession(s, explore.Config{Prune: true})
 			verify(b, stats, err, 0)
 		}
 	})
 }
 
 // BenchmarkSessionReplay measures the session-reuse runtime on the
-// commit-adopt exhaustive sweep (n=2, one crash allowed: 1174 runs). The
-// respawn variant is the PR-1 baseline — a freshly spawned
-// rendezvous-protocol scheduler and a freshly allocated exploring adversary
-// per run — and the session variant is the zero-respawn engine: goroutines
-// spawned once, inline token dispatch, pooled buffers. The acceptance bar is
-// session >= 2x respawn in runs/sec; the state spaces are asserted identical
-// here and verified in depth by explore's TestSessionReuseMatchesRespawn.
+// commit-adopt exhaustive sweep (n=2, one crash allowed: 1174 runs, the count
+// the deleted respawning baseline also visited): goroutines spawned once,
+// inline token dispatch, pooled buffers, on one worker and on a pool of
+// four. The state spaces are asserted here and verified in depth by
+// explore's TestSessionReuseMatchesRespawn.
 func BenchmarkSessionReplay(b *testing.B) {
 	const wantRuns = 1174
-	variant := func(respawn, parallel bool) func(b *testing.B) {
+	variant := func(workers int) func(b *testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := explore.Config{MaxCrashes: 1, MaxSteps: 64, Respawn: respawn}
-				var stats explore.Stats
-				var err error
-				if parallel {
-					cfg.Workers = 4
-					stats, err = explore.ExploreParallel(sessions.CommitAdopt(2), cfg)
-				} else {
-					s := sessions.CommitAdopt(2)()
-					stats, err = explore.Explore(s.Make, s.Check, cfg)
-				}
+				cfg := explore.Config{MaxCrashes: 1, MaxSteps: 64, Workers: workers}
+				stats, err := explore.ExploreParallel(sessions.CommitAdopt(2), cfg)
 				if err != nil || !stats.Exhausted {
 					b.Fatal(err)
 				}
@@ -543,9 +533,8 @@ func BenchmarkSessionReplay(b *testing.B) {
 			}
 		}
 	}
-	b.Run("respawn", variant(true, false))
-	b.Run("session", variant(false, false))
-	b.Run("parallel-session", variant(false, true))
+	b.Run("session", variant(1))
+	b.Run("parallel-session", variant(4))
 }
 
 // BenchmarkCommitAdopt measures one commit-adopt round under contention.

@@ -1,11 +1,12 @@
 // Command benchexplore records the exhaustive-exploration throughput
 // trajectory, driven entirely by the spec registry: every registered
 // scenario contributes a crash-free and a crashes=1 sweep at its declared
-// defaults, each run under up to five engines — the PR-1 style sequential
-// respawning explorer, the sequential session-reuse explorer, the parallel
-// session-backed worker pool, and the sequential + parallel engines with
-// state-fingerprint deduplication (dedup engines only for specs whose
-// SupportsDedup flag is set). Results land as JSON (BENCH_explore.json via
+// defaults, each run under up to four engines — the sequential
+// session-reuse explorer, the parallel session-backed worker pool, and the
+// sequential + parallel engines with state-fingerprint deduplication (dedup
+// engines only for specs whose SupportsDedup flag is set). Every cell is a
+// service job run through service.Execute, the execution path the CLI and
+// the exploredd daemon share. Results land as JSON (BENCH_explore.json via
 // `make bench-json`).
 //
 // Scenarios the run budget cannot exhaust (the BG simulation) are skipped
@@ -20,12 +21,12 @@
 // recorded trajectory — and the run fails if any registered spec is missing
 // one (the sampling presence gate).
 //
-// Every tree-walking cell asserts the engines visited identical state spaces
-// before reporting, so a number in the file is also a passed determinism
-// check. The dedup cells assert the exhaustion verdict is unchanged and that
-// the visited-run count never exceeds the tree walk's; the run as a whole
-// asserts at least one sweep reaches a >= 2x runs-explored reduction (the
-// dedup regression gate).
+// Every tree-walking cell asserts the engines visited the state space of
+// the sequential session engine before reporting, so a number in the file
+// is also a passed determinism check. The dedup cells assert the exhaustion
+// verdict is unchanged and that the visited-run count never exceeds the
+// tree walk's; the run as a whole asserts at least one sweep reaches a >= 2x
+// runs-explored reduction (the dedup regression gate).
 //
 // Specs declaring the symmetry capability additionally contribute a symmetry
 // series (engine "sequential-session-symmetry"): the sequential dedup walk
@@ -60,6 +61,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -72,6 +74,7 @@ import (
 	"mpcn/internal/explore"
 	"mpcn/internal/explore/sample"
 	"mpcn/internal/explore/spec"
+	"mpcn/internal/service"
 
 	// Register the built-in scenarios.
 	_ "mpcn/internal/explore/sessions"
@@ -326,17 +329,15 @@ func run(o benchOptions) error {
 	for _, sw := range cells {
 		// Exhaustibility probe: a throughput number is only meaningful for a
 		// completed state space.
-		cfg, err := spec.Config(sw.spec, sw.p, explore.Config{MaxRuns: probe})
-		if err != nil {
-			return fmt.Errorf("%s: %w", sw.name, err)
-		}
-		if st, err := explore.ExploreSession(sw.spec.New(sw.p), cfg); err != nil {
+		job := &service.Job{Spec: sw.spec, Params: sw.p,
+			Engine: service.Engine{Mode: service.ModeExhaustive, Workers: 1, MaxRuns: probe}}
+		if st, _, err := service.Execute(context.Background(), job, nil, nil, nil); err != nil {
 			return fmt.Errorf("%s (probe): %w", sw.name, err)
 		} else if !st.Exhausted {
 			fmt.Printf("%-28s skipped: exceeds the %d-run probe budget\n", sw.name, probe)
 			continue
 		}
-		engines := []string{"sequential-respawn", "sequential-session", "parallel-session"}
+		engines := []string{"sequential-session", "parallel-session"}
 		if sw.spec.SupportsDedup() {
 			engines = append(engines, "sequential-session-dedup", "parallel-session-dedup")
 		}
@@ -347,7 +348,7 @@ func run(o benchOptions) error {
 				return fmt.Errorf("%s/%s: %w", sw.name, engine, err)
 			}
 			dedup := strings.HasSuffix(engine, "-dedup")
-			if engine == "sequential-respawn" {
+			if engine == "sequential-session" {
 				baseline = best
 			} else if dedup {
 				// Dedup cuts converged subtrees: the verdict must match the
@@ -357,7 +358,7 @@ func run(o benchOptions) error {
 						sw.name, engine, best.Runs, baseline.Runs)
 				}
 			} else if best.Runs != baseline.Runs || best.Pruned != baseline.Pruned {
-				return fmt.Errorf("%s/%s: state space diverged from the respawn baseline: %d/%d vs %d/%d runs/pruned",
+				return fmt.Errorf("%s/%s: state space diverged from the sequential session engine: %d/%d vs %d/%d runs/pruned",
 					sw.name, engine, best.Runs, best.Pruned, baseline.Runs, baseline.Pruned)
 			}
 			rec := Record{
@@ -692,25 +693,22 @@ func sampleSeries(workers, samples int) ([]Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s (sampling): %w", s.Name(), err)
 		}
-		cfg := sample.Config{
-			Samples:     samples,
-			Seed:        1,
-			MaxCrashes:  crashes,
-			MaxSteps:    p[spec.ParamSteps],
-			Depth:       s.Sampling().Depth,
-			Workers:     workers,
-			Coverage:    true,
-			Checkpoints: 8,
-		}
-		if b := s.Sampling().Budget; b > 0 && b < cfg.Samples {
-			cfg.Samples = b
-		}
-		if spec.Unbounded(s) && cfg.MaxSteps <= 0 {
+		if spec.Unbounded(s) && p[spec.ParamSteps] <= 0 {
 			// Unbounded trees walk to the engine's step default on most
 			// schedules; bound the per-run length so the series stays cheap.
-			cfg.MaxSteps = 800
+			p[spec.ParamSteps] = 800
 		}
-		st, err := sample.RunParallel(spec.Factory(s, p), sample.StrategyPCT, cfg)
+		job := &service.Job{Spec: s, Params: p, Seed: 1, Engine: service.Engine{
+			Mode:     service.ModeSample,
+			Workers:  workers,
+			Strategy: sample.StrategyPCT,
+			Samples:  samples,
+			Depth:    s.Sampling().Depth,
+		}}
+		if b := s.Sampling().Budget; b > 0 && b < samples {
+			job.Engine.Samples = b
+		}
+		_, st, err := service.Execute(context.Background(), job, nil, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s/sample-pct: %w", s.Name(), err)
 		}
@@ -749,39 +747,36 @@ func sampledSpecsPresent(records []Record) error {
 	return nil
 }
 
+// engineJob is the service job of one (sweep, engine) cell: the
+// sequential-* engines run on one worker, the parallel-* ones on workers.
+func engineJob(sw sweep, engine string, workers int) (*service.Job, error) {
+	e := service.Engine{Mode: service.ModeExhaustive, Workers: 1}
+	switch engine {
+	case "sequential-session":
+	case "parallel-session":
+		e.Workers = workers
+	case "sequential-session-dedup":
+		e.Dedup = true
+	case "sequential-session-symmetry":
+		e.Dedup, e.Symmetry = true, true
+	case "parallel-session-dedup":
+		e.Dedup, e.Workers = true, workers
+	default:
+		return nil, fmt.Errorf("unknown engine %q", engine)
+	}
+	return &service.Job{Spec: sw.spec, Params: sw.p, Engine: e}, nil
+}
+
 // measure runs one (sweep, engine) cell reps times and returns the fastest
 // exhausted run.
 func measure(sw sweep, engine string, workers, reps int) (explore.Stats, error) {
 	var best explore.Stats
+	job, err := engineJob(sw, engine, workers)
+	if err != nil {
+		return best, err
+	}
 	for r := 0; r < reps; r++ {
-		cfg, err := spec.Config(sw.spec, sw.p, explore.Config{})
-		if err != nil {
-			return best, err
-		}
-		var stats explore.Stats
-		switch engine {
-		case "sequential-respawn":
-			cfg.Respawn = true
-			stats, err = explore.ExploreSession(sw.spec.New(sw.p), cfg)
-		case "sequential-session":
-			stats, err = explore.ExploreSession(sw.spec.New(sw.p), cfg)
-		case "parallel-session":
-			cfg.Workers = workers
-			stats, err = explore.ExploreParallel(spec.Factory(sw.spec, sw.p), cfg)
-		case "sequential-session-dedup":
-			cfg.Dedup = true
-			stats, err = explore.ExploreSession(sw.spec.New(sw.p), cfg)
-		case "sequential-session-symmetry":
-			cfg.Dedup = true
-			cfg.Symmetry = true
-			stats, err = explore.ExploreSession(sw.spec.New(sw.p), cfg)
-		case "parallel-session-dedup":
-			cfg.Dedup = true
-			cfg.Workers = workers
-			stats, err = explore.ExploreParallel(spec.Factory(sw.spec, sw.p), cfg)
-		default:
-			return best, fmt.Errorf("unknown engine %q", engine)
-		}
+		stats, _, err := service.Execute(context.Background(), job, nil, nil, nil)
 		if err != nil {
 			return best, err
 		}

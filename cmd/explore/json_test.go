@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -116,6 +117,44 @@ func TestServiceSmokeJSONParity(t *testing.T) {
 	}
 	if !reflect.DeepEqual(normalize(scli), normalize(sdaemon)) {
 		t.Fatalf("sampled records diverge:\ncli:    %+v\ndaemon: %+v", normalize(scli), normalize(sdaemon))
+	}
+}
+
+// TestAllSpecsRecordsResubmit: every -allspecs sampling record, resubmitted
+// as the daemon request it describes, executes to the identical record —
+// the record's params (including the step bound -allspecs applies to
+// unbounded specs) are the ones the engine ran.
+func TestAllSpecsRecordsResubmit(t *testing.T) {
+	var out bytes.Buffer
+	if code := run(strings.Fields("-sample pct -allspecs -samples 20 -seed 1 -seq -json"), &out); code != 0 {
+		t.Fatalf("exit code %d\n%s", code, out.String())
+	}
+	dec := json.NewDecoder(&out)
+	records := 0
+	for dec.More() {
+		var cli service.Result
+		if err := dec.Decode(&cli); err != nil {
+			t.Fatal(err)
+		}
+		records++
+		req := service.Request{Spec: cli.Spec, Params: map[string]string{}, Engine: cli.Engine, Seed: cli.Seed}
+		for _, kv := range strings.Fields(cli.Params) {
+			name, v, _ := strings.Cut(kv, "=")
+			req.Params[name] = v
+		}
+		j, err := service.Prepare(req)
+		if err != nil {
+			t.Fatalf("%s: resubmission rejected: %v", cli.Spec, err)
+		}
+		est, sst, err := service.Execute(context.Background(), j, nil, nil, nil)
+		got := service.NewResult(j, est, sst, err)
+		if !reflect.DeepEqual(normalize(cli), normalize(got)) {
+			t.Fatalf("%s: resubmitted record diverges:\ncli:      %+v %+v\nexecuted: %+v %+v",
+				cli.Spec, normalize(cli), cli.Sample, normalize(got), got.Sample)
+		}
+	}
+	if records != len(spec.All()) {
+		t.Fatalf("-allspecs emitted %d records for %d specs", records, len(spec.All()))
 	}
 }
 

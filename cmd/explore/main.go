@@ -112,7 +112,6 @@ type options struct {
 	symmetry bool
 	compare  bool
 	seq      bool
-	respawn  bool
 	sample   string
 	samples  int
 	depth    int
@@ -191,7 +190,6 @@ func run(args []string, out io.Writer) int {
 	fs.BoolVar(&o.symmetry, "symmetry", false, "enable symmetry reduction (orbit-canonical fingerprints; needs -dedup)")
 	fs.BoolVar(&o.compare, "compare", false, "verify the parallel run count against the sequential explorer")
 	fs.BoolVar(&o.seq, "seq", false, "use the sequential explorer only")
-	fs.BoolVar(&o.respawn, "respawn", false, "respawn the scheduler per run (pre-session baseline; for comparisons)")
 	fs.StringVar(&o.sample, "sample", "", "sampling strategy: pct|walk|swarm (empty = exhaustive exploration)")
 	fs.IntVar(&o.samples, "samples", 10000, "sampled runs per grid cell (with -sample)")
 	fs.IntVar(&o.depth, "depth", 0, "PCT depth d: d-1 priority-change points per run (0 = spec/engine default)")
@@ -293,7 +291,7 @@ func rejectInapplicableFlags(o options, explicit map[string]bool, haveSets bool)
 		return errors.New("-compare prints a human-readable comparison; drop it under -json")
 	}
 	if o.sample != "" {
-		for _, name := range []string{"prune", "dedup", "dedupmem", "symmetry", "maxruns", "compare", "respawn"} {
+		for _, name := range []string{"prune", "dedup", "dedupmem", "symmetry", "maxruns", "compare"} {
 			if explicit[name] {
 				return fmt.Errorf("-%s applies to exhaustive exploration only (drop it or drop -sample)", name)
 			}
@@ -399,6 +397,14 @@ func printList(out io.Writer) {
 	}
 }
 
+// engineWorkers is the engine pool size of every cell: -seq pins one worker.
+func (o options) engineWorkers() int {
+	if o.seq {
+		return 1
+	}
+	return o.workers
+}
+
 // jsonResult renders one grid cell's outcome in the daemon's Result
 // encoding (NDJSON, one record per line). The record is emitted for
 // violations too — the caller still aborts the sweep afterwards — so
@@ -407,20 +413,15 @@ func jsonResult(out io.Writer, j *service.Job, est explore.Stats, sst sample.Sta
 	return json.NewEncoder(out).Encode(service.NewResult(j, est, sst, err))
 }
 
-// exploreJob assembles the service job record of one exhaustive cell, the
-// identity under which -json encodes its result (workers normalized as the
-// daemon does: 1 = sequential engine).
+// exploreJob assembles the service job of one exhaustive cell: what the
+// cell executes and the identity under which -json encodes its result.
 func exploreJob(s spec.Spec, p spec.Params, o options) *service.Job {
-	workers := o.workers
-	if o.seq {
-		workers = 1
-	}
 	return &service.Job{
 		Spec:   s,
 		Params: p,
 		Engine: service.Engine{
 			Mode:     service.ModeExhaustive,
-			Workers:  workers,
+			Workers:  o.engineWorkers(),
 			MaxRuns:  o.maxRuns,
 			Prune:    o.prune,
 			Dedup:    o.dedup,
@@ -446,26 +447,10 @@ func sweep(ctx context.Context, o options, out io.Writer) error {
 			"configuration", "runs", "pruned", "depth", "runs/sec", "elapsed", "verdict")
 	}
 	for _, p := range cells {
-		cfg, err := spec.Config(s, p, explore.Config{
-			MaxRuns:  o.maxRuns,
-			Workers:  o.workers,
-			Prune:    o.prune,
-			Dedup:    o.dedup,
-			DedupMem: o.dedupMem << 20,
-			Symmetry: o.symmetry,
-			Respawn:  o.respawn,
-		})
-		if err != nil {
-			return err
-		}
-		var stats explore.Stats
-		if o.seq {
-			stats, err = explore.ExploreSessionContext(ctx, s.New(p), cfg)
-		} else {
-			stats, err = explore.ExploreParallelContext(ctx, spec.Factory(s, p), cfg)
-		}
+		j := exploreJob(s, p, o)
+		stats, _, err := service.Execute(ctx, j, nil, nil, nil)
 		if o.jsonOut {
-			if jerr := jsonResult(out, exploreJob(s, p, o), stats, sample.Stats{}, err); jerr != nil {
+			if jerr := jsonResult(out, j, stats, sample.Stats{}, err); jerr != nil {
 				return jerr
 			}
 		}
@@ -485,8 +470,10 @@ func sweep(ctx context.Context, o options, out io.Writer) error {
 		if o.dedup {
 			fmt.Fprintf(out, "%-40s %s\n", "  (dedup)", stats.Dedup)
 		}
-		if o.compare && !o.seq {
-			seq, err := explore.ExploreSession(s.New(p), cfg)
+		if o.compare && j.Engine.Workers != 1 {
+			seqJob := *j
+			seqJob.Engine.Workers = 1
+			seq, _, err := service.Execute(ctx, &seqJob, nil, nil, nil)
 			if err != nil {
 				return fmt.Errorf("spec %q %s (sequential): %w", s.Name(), p.Text(s), err)
 			}
@@ -507,6 +494,42 @@ func sweep(ctx context.Context, o options, out io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// allSpecsSteps bounds the runs of unbounded specs under -allspecs: their
+// trees walk to the engine's step default on most schedules, and the
+// all-spec smoke should stay quick.
+const allSpecsSteps = 800
+
+// sampleJob assembles the service job of one sampling cell. Under
+// -allspecs the cell samples at most the spec's declared budget, and an
+// unbounded spec's step budget is written into the cell's steps parameter,
+// so the record, the engine and a daemon resubmission of the record agree.
+func sampleJob(s spec.Spec, p spec.Params, o options) *service.Job {
+	samples, depth := o.samples, o.depth
+	if depth <= 0 {
+		depth = s.Sampling().Depth
+	}
+	if o.allSpecs {
+		if b := s.Sampling().Budget; b > 0 && b < samples {
+			samples = b
+		}
+		if spec.Unbounded(s) && p[spec.ParamSteps] <= 0 {
+			p[spec.ParamSteps] = allSpecsSteps
+		}
+	}
+	return &service.Job{
+		Spec:   s,
+		Params: p,
+		Engine: service.Engine{
+			Mode:     service.ModeSample,
+			Workers:  o.engineWorkers(),
+			Strategy: o.sample,
+			Samples:  samples,
+			Depth:    depth,
+		},
+		Seed: o.seed,
+	}
 }
 
 // sampleSweep runs the probabilistic engine over the selected spec's grid
@@ -539,51 +562,9 @@ func sampleSweep(ctx context.Context, o options, out io.Writer) error {
 			return err
 		}
 		for _, p := range cells {
-			cfg := sample.Config{
-				Samples:    o.samples,
-				Seed:       o.seed,
-				MaxCrashes: p[spec.ParamCrashes],
-				MaxSteps:   p[spec.ParamSteps],
-				Depth:      o.depth,
-				Workers:    o.workers,
-				Coverage:   true,
-			}
-			if cfg.Depth <= 0 {
-				cfg.Depth = s.Sampling().Depth
-			}
-			if o.allSpecs {
-				if b := s.Sampling().Budget; b > 0 && b < cfg.Samples {
-					cfg.Samples = b
-				}
-				// Unbounded trees walk to the engine's step default on most
-				// schedules; bound the smoke's runs so -allspecs stays quick.
-				if spec.Unbounded(s) && cfg.MaxSteps <= 0 {
-					cfg.MaxSteps = 800
-				}
-			}
-			var stats sample.Stats
-			if o.seq {
-				stats, err = sample.RunContext(ctx, s.New(p), o.sample, cfg)
-			} else {
-				stats, err = sample.RunParallelContext(ctx, spec.Factory(s, p), o.sample, cfg)
-			}
+			j := sampleJob(s, p, o)
+			_, stats, err := service.Execute(ctx, j, nil, nil, nil)
 			if o.jsonOut {
-				workers := o.workers
-				if o.seq {
-					workers = 1
-				}
-				j := &service.Job{
-					Spec:   s,
-					Params: p,
-					Engine: service.Engine{
-						Mode:     service.ModeSample,
-						Workers:  workers,
-						Strategy: o.sample,
-						Samples:  cfg.Samples,
-						Depth:    cfg.Depth,
-					},
-					Seed: o.seed,
-				}
 				if jerr := jsonResult(out, j, explore.Stats{}, stats, err); jerr != nil {
 					return jerr
 				}
@@ -599,11 +580,11 @@ func sampleSweep(ctx context.Context, o options, out io.Writer) error {
 				label, stats.Samples, stats.Distinct, stats.MaxDepth, stats.SamplesPerSec(),
 				stats.Elapsed.Round(stats.Elapsed/100+1))
 			if stats.PCTBound > 0 {
-				d := cfg.Depth
+				d := j.Engine.Depth
 				if d <= 0 {
 					d = sample.DefaultDepth
 				}
-				k := cfg.MaxSteps
+				k := p[spec.ParamSteps]
 				if k <= 0 {
 					k = sample.DefaultMaxSteps
 				}

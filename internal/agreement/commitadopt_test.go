@@ -235,7 +235,7 @@ func commitAdoptSession(proposals []any) func() explore.Session {
 // proof for the bounded configuration, not a sweep.
 func TestExhaustiveCommitAdoptProperties(t *testing.T) {
 	s := commitAdoptSession([]any{1, 2})()
-	stats, err := explore.Explore(s.Make, s.Check, explore.Config{MaxCrashes: 1, MaxSteps: 64})
+	stats, err := explore.ExploreSession(s, explore.Config{MaxCrashes: 1, MaxSteps: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestExhaustiveCommitAdoptThreeProposers(t *testing.T) {
 	proposals := []any{1, 2, 2}
 	cfg := explore.Config{MaxSteps: 128, Prune: true, Workers: 4}
 	s := commitAdoptSession(proposals)()
-	seq, err := explore.Explore(s.Make, s.Check, cfg)
+	seq, err := explore.ExploreSession(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

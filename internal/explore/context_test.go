@@ -3,77 +3,87 @@ package explore
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"mpcn/internal/sched"
 )
 
-// TestContextPreCanceledSequential: a canceled context stops the sequential
-// walk before its first run and surfaces the context's error.
-func TestContextPreCanceledSequential(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	st, err := ExploreSessionContext(ctx, tasSession(), Config{MaxSteps: 64})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if st.Exhausted {
-		t.Fatal("canceled exploration must not report exhaustion")
-	}
-	if st.Runs != 0 {
-		t.Fatalf("canceled-before-start exploration ran %d runs", st.Runs)
+// contextWorkers are the pool sizes every context case runs at through Run:
+// the one-worker walk and a four-worker pool.
+var contextWorkers = []int{1, 4}
+
+// cancelAfter wraps a session factory so that the n-th checked run, counted
+// across every session the factory built, calls hook first.
+func cancelAfter(mk func() Session, n int64, hook func() error) func() Session {
+	var runs atomic.Int64
+	return func() Session {
+		s := mk()
+		base := s.Check
+		s.Check = func(res *sched.Result) error {
+			if runs.Add(1) == n {
+				if err := hook(); err != nil {
+					return err
+				}
+			}
+			return base(res)
+		}
+		return s
 	}
 }
 
-// TestContextCancelMidWalk: canceling from the checker stops the sequential
-// walk at the next run boundary with partial stats.
+// TestContextPreCanceledSequential: a canceled context stops the walk before
+// its first run and surfaces the context's error, at every worker count.
+func TestContextPreCanceledSequential(t *testing.T) {
+	for _, workers := range contextWorkers {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		st, err := Run(ctx, registersSession(3, 3), Config{Workers: workers, MaxSteps: 256})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if st.Exhausted {
+			t.Fatalf("workers=%d: canceled exploration must not report exhaustion", workers)
+		}
+		if st.Runs != 0 {
+			t.Fatalf("workers=%d: canceled-before-start exploration ran %d runs", workers, st.Runs)
+		}
+	}
+}
+
+// TestContextCancelMidWalk: canceling from the checker stops the walk at the
+// next run boundary with partial stats, at every worker count.
 func TestContextCancelMidWalk(t *testing.T) {
-	full, err := ExploreSession(tasSession(), Config{MaxSteps: 64})
+	full, err := ExploreSession(registersSession(3, 3)(), Config{MaxSteps: 256})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s := tasSession()
-	base := s.Check
-	runs := 0
-	s.Check = func(res *sched.Result) error {
-		runs++
-		if runs == 3 {
-			cancel()
+	for _, workers := range contextWorkers {
+		ctx, cancel := context.WithCancel(context.Background())
+		mk := cancelAfter(registersSession(3, 3), 20, func() error { cancel(); return nil })
+		st, err := Run(ctx, mk, Config{Workers: workers, MaxSteps: 256})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		return base(res)
-	}
-	st, err := ExploreSessionContext(ctx, s, Config{MaxSteps: 64})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if st.Exhausted || st.Runs >= full.Runs || st.Runs < 3 {
-		t.Fatalf("partial stats wrong: runs=%d (full %d), exhausted=%v", st.Runs, full.Runs, st.Exhausted)
+		if st.Exhausted || st.Runs >= full.Runs || st.Runs < 20 {
+			t.Fatalf("workers=%d: partial stats wrong: runs=%d (full %d), exhausted=%v",
+				workers, st.Runs, full.Runs, st.Exhausted)
+		}
 	}
 }
 
-// TestContextCancelParallel: cancellation halts every worker of a parallel
-// exploration; the error is the context's.
+// TestContextCancelParallel: cancellation halts every worker of a pool; the
+// error is the context's.
 func TestContextCancelParallel(t *testing.T) {
 	full, err := ExploreParallel(registersSession(3, 3), Config{Workers: 4, MaxSteps: 256})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	var runs atomic.Int64
-	mk := func() Session {
-		s := registersSession(3, 3)()
-		base := s.Check
-		s.Check = func(res *sched.Result) error {
-			if runs.Add(1) == 20 {
-				cancel()
-			}
-			return base(res)
-		}
-		return s
-	}
-	st, err := ExploreParallelContext(ctx, mk, Config{Workers: 4, MaxSteps: 256})
+	mk := cancelAfter(registersSession(3, 3), 20, func() error { cancel(); return nil })
+	st, err := Run(ctx, mk, Config{Workers: 4, MaxSteps: 256})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -83,24 +93,56 @@ func TestContextCancelParallel(t *testing.T) {
 }
 
 // TestContextViolationOutranksCancel: a property violation found before the
-// cancellation still surfaces as the PropertyError, not the context error.
+// cancellation still surfaces as the PropertyError, not the context error,
+// at every worker count.
 func TestContextViolationOutranksCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	s := tasSession()
-	base := s.Check
-	runs := 0
-	s.Check = func(res *sched.Result) error {
-		runs++
-		if runs == 2 {
+	for _, workers := range contextWorkers {
+		ctx, cancel := context.WithCancel(context.Background())
+		mk := cancelAfter(registersSession(3, 3), 20, func() error {
 			cancel()
 			return errors.New("violated just before cancel")
+		})
+		_, err := Run(ctx, mk, Config{Workers: workers, MaxSteps: 256})
+		var pe *PropertyError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want PropertyError", workers, err)
 		}
-		return base(res)
 	}
-	_, err := ExploreSessionContext(ctx, s, Config{MaxSteps: 64})
-	var pe *PropertyError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want PropertyError", err)
+}
+
+// TestContextCheckerPanicReraised: a checker panic re-raises on the caller's
+// goroutine, at every worker count.
+func TestContextCheckerPanicReraised(t *testing.T) {
+	for _, workers := range contextWorkers {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "checker exploded") {
+					t.Fatalf("workers=%d: recovered %v, want the checker's panic", workers, r)
+				}
+			}()
+			mk := cancelAfter(registersSession(3, 3), 20, func() error { panic("checker exploded") })
+			_, _ = Run(context.Background(), mk, Config{Workers: workers, MaxSteps: 256})
+		}()
+	}
+}
+
+// TestRunOneWorkerMatchesExploreSession: Run at one worker is the walk
+// ExploreSession performs, down to the dedup store's counters.
+func TestRunOneWorkerMatchesExploreSession(t *testing.T) {
+	cfg := Config{MaxCrashes: 1, Dedup: true}
+	want, err := ExploreSession(rmwSession(3, nil)(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 1
+	got, err := Run(context.Background(), rmwSession(3, nil), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Runs != want.Runs || got.Pruned != want.Pruned || got.Dedup.States != want.Dedup.States ||
+		got.Dedup.Hits != want.Dedup.Hits || got.Dedup.Lookups != want.Dedup.Lookups || got.Workers != nil {
+		t.Fatalf("Run(Workers: 1) = runs %d pruned %d %+v workers %v; ExploreSession = runs %d pruned %d %+v",
+			got.Runs, got.Pruned, got.Dedup, got.Workers, want.Runs, want.Pruned, want.Dedup)
 	}
 }
 

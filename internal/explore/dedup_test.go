@@ -344,9 +344,24 @@ func TestDedupDeterministic(t *testing.T) {
 	}
 }
 
+// respawnDedupOutcomes is the outcome set of the rmw n=3 crashes=1 walk
+// under dedup, recorded from the respawning baseline.
+var respawnDedupOutcomes = []string{
+	"false/<nil>;true/0;true/0;", "false/<nil>;true/0;true/1;", "false/<nil>;true/1;true/0;",
+	"true/0;false/<nil>;true/0;", "true/0;false/<nil>;true/1;", "true/0;true/0;false/<nil>;",
+	"true/0;true/0;true/0;", "true/0;true/0;true/1;", "true/0;true/1;false/<nil>;",
+	"true/0;true/1;true/0;", "true/0;true/1;true/1;", "true/0;true/1;true/2;",
+	"true/0;true/2;true/1;", "true/1;false/<nil>;true/0;", "true/1;true/0;false/<nil>;",
+	"true/1;true/0;true/0;", "true/1;true/0;true/1;", "true/1;true/0;true/2;",
+	"true/1;true/1;true/0;", "true/1;true/2;true/0;", "true/2;true/0;true/1;",
+	"true/2;true/1;true/0;",
+}
+
 // TestDedupStateCoverage: cutting converged subtrees must not lose reachable
 // final states. The set of checker-observable outcomes must be identical
-// across plain, dedup, prune, prune+dedup and respawn+dedup exploration.
+// across plain, dedup, prune and prune+dedup exploration, and equal to the
+// set the respawning baseline produced under dedup (respawnDedupOutcomes,
+// recorded from it before it was deleted).
 func TestDedupStateCoverage(t *testing.T) {
 	coverage := func(cfg Config) map[string]bool {
 		cover := make(map[string]bool)
@@ -357,14 +372,18 @@ func TestDedupStateCoverage(t *testing.T) {
 		return cover
 	}
 	want := coverage(Config{MaxCrashes: 1})
-	if len(want) < 3 {
-		t.Fatalf("workload too shallow: only %d outcomes", len(want))
+	if len(want) != len(respawnDedupOutcomes) {
+		t.Fatalf("%d outcomes, respawn golden has %d", len(want), len(respawnDedupOutcomes))
+	}
+	for _, k := range respawnDedupOutcomes {
+		if !want[k] {
+			t.Fatalf("respawn golden outcome %s not reached", k)
+		}
 	}
 	for _, cfg := range []Config{
 		{MaxCrashes: 1, Dedup: true},
 		{MaxCrashes: 1, Prune: true},
 		{MaxCrashes: 1, Prune: true, Dedup: true},
-		{MaxCrashes: 1, Dedup: true, Respawn: true},
 	} {
 		got := coverage(cfg)
 		if len(got) != len(want) {
@@ -516,28 +535,22 @@ func TestDedupRequiresFingerprint(t *testing.T) {
 	if _, err := ExploreParallel(bare, Config{Dedup: true}); !errors.Is(err, ErrNoFingerprint) {
 		t.Fatalf("parallel: got %v, want ErrNoFingerprint", err)
 	}
-	// And the legacy Explore entry point (no way to pass a Fingerprint).
-	s := rmwSession(2, nil)()
-	if _, err := Explore(s.Make, s.Check, Config{Dedup: true}); !errors.Is(err, ErrNoFingerprint) {
-		t.Fatalf("Explore: got %v, want ErrNoFingerprint", err)
-	}
 }
 
-// TestDedupRespawnMatchesSession: the respawning baseline and the
-// session-reuse engine walk identical dedup-cut trees (the store interaction
-// is a function of the decision sequence, not the runtime).
+// TestDedupRespawnMatchesSession: the session-reuse engine walks the
+// dedup-cut tree the respawning baseline (one freshly spawned scheduler per
+// run) walked before it was deleted; the golden counts were recorded from
+// that baseline. The store interaction is a function of the decision
+// sequence, not the runtime.
 func TestDedupRespawnMatchesSession(t *testing.T) {
-	run := func(respawn bool) Stats {
-		st, err := ExploreSession(rmwSession(3, nil)(), Config{MaxCrashes: 1, Dedup: true, Respawn: respawn})
-		if err != nil || !st.Exhausted {
-			t.Fatalf("respawn=%v: %v", respawn, err)
-		}
-		return st
+	st, err := ExploreSession(rmwSession(3, nil)(), Config{MaxCrashes: 1, Dedup: true})
+	if err != nil || !st.Exhausted {
+		t.Fatalf("%v (exhausted=%v)", err, st.Exhausted)
 	}
-	s, r := run(false), run(true)
-	if s.Runs != r.Runs || s.Dedup.Hits != r.Dedup.Hits || s.Dedup.States != r.Dedup.States ||
-		s.Dedup.CutAlternatives != r.Dedup.CutAlternatives {
-		t.Fatalf("session/respawn dedup divergence: %+v vs %+v", s.Dedup, r.Dedup)
+	d := st.Dedup
+	if st.Runs != 376 || d.Hits != 274 || d.States != 243 || d.Lookups != 517 || d.CutAlternatives != 846 {
+		t.Fatalf("dedup walk diverged from the respawn golden runs=376 hits=274 states=243 lookups=517 cut=846: runs=%d %+v",
+			st.Runs, d)
 	}
 }
 

@@ -11,12 +11,12 @@
 //
 // Three scaling mechanisms keep larger configurations tractable:
 //
-//   - ExploreParallel shards the decision tree across a worker pool. A
+//   - Config.Workers shards the decision tree across a worker pool. A
 //     breadth-first pass enumerates a frontier of disjoint prefixes, and each
 //     worker then runs the sequential DFS confined to its own subtrees. Runs
 //     are replayed from scratch, so workers share nothing but the work queue
 //     and a run-budget counter; the visited run count is identical to the
-//     sequential explorer's.
+//     one-worker walk's.
 //
 //   - Config.Prune enables partial-order reduction: commuting adjacent
 //     decisions are canonicalized to ascending process order (a sleep-set
@@ -57,9 +57,10 @@ type Config struct {
 	// shared across the workers of a parallel exploration, so sequential and
 	// parallel explorations of the same tree execute the same number of runs.
 	MaxRuns int
-	// Workers sets the worker-pool size of ExploreParallel (ignored by
-	// Explore). Values <= 0 select sched-friendly default parallelism; see
-	// DefaultWorkers.
+	// Workers sets the worker-pool size of Run. 1 selects the sequential
+	// walk (one session, deterministic dedup counts and counterexample
+	// choice); values <= 0 select sched-friendly default parallelism, see
+	// DefaultWorkers. ExploreSession always walks with one worker.
 	Workers int
 	// Prune enables partial-order reduction: schedules that differ from an
 	// already-explored schedule only in the order of adjacent commuting
@@ -77,9 +78,9 @@ type Config struct {
 	// node the canonical state fingerprint is looked up in a shared
 	// visited-state store, and the subtree below an already-visited state is
 	// cut. Requires the explored Session to carry a Fingerprint; explorations
-	// without one fail with ErrNoFingerprint. With Dedup, the visited-run
-	// count of ExploreParallel depends on worker timing (cuts compose across
-	// workers); the sequential explorer stays deterministic.
+	// without one fail with ErrNoFingerprint. With Dedup and more than one
+	// worker the visited-run count depends on worker timing (cuts compose
+	// across workers); the one-worker walk stays deterministic.
 	Dedup bool
 	// DedupMem bounds the visited-state store's memory in bytes (0 =
 	// DefaultDedupMem). It is a bound, not an allocation: the store grows
@@ -99,13 +100,6 @@ type Config struct {
 	// that declares Symmetric (see ErrNoSymmetry): under an undeclared
 	// asymmetry the canonical hash would merge states whose futures differ.
 	Symmetry bool
-	// Respawn disables the session-reuse runtime and replays every run the
-	// way the explorer worked before the Session refactor: a freshly spawned
-	// scheduler per run over the strict rendezvous handoff, with a freshly
-	// allocated exploring adversary. It exists as the baseline of the
-	// session-reuse benchmarks and regression tests; the visited tree is
-	// identical either way.
-	Respawn bool
 	// NoBatch disables batched step grants (prefix plans and sprint tails;
 	// see the scripted adversary) while keeping the session-reuse runtime,
 	// forcing every decision through an adversary consultation. The visited
@@ -123,8 +117,7 @@ type Config struct {
 	// Runtime, when non-nil, supplies and reclaims the walkers' sched
 	// runtimes instead of NewSessionWith/Close, letting long-running drivers
 	// lease warm sessions across explorations (goroutines stay parked
-	// between jobs) rather than respawning them per exploration. Ignored
-	// under Respawn, whose whole point is the spawn-per-run baseline.
+	// between jobs) rather than respawning them per exploration.
 	Runtime RuntimeSource
 }
 
@@ -189,10 +182,10 @@ type Stats struct {
 	Pruned int
 	// Elapsed is the wall-clock duration of the exploration.
 	Elapsed time.Duration
-	// Workers holds the per-worker breakdown of a parallel exploration. It
-	// is nil for the sequential explorer, and also for parallel
-	// explorations the frontier pass resolved on its own (tiny trees, a run
-	// budget that ran dry, or an early violation) — no worker ever ran.
+	// Workers holds the per-worker breakdown of a pool. It is nil for the
+	// one-worker walk, and also for pool explorations the frontier pass
+	// resolved on its own (tiny trees, a run budget that ran dry, or an
+	// early violation) — no worker ever ran.
 	Workers []WorkerStats
 	// Dedup holds the visited-state store's counters (zero unless
 	// Config.Dedup was set).
@@ -290,9 +283,8 @@ type scripted struct {
 
 var _ sched.Adversary = (*scripted)(nil)
 
-func newScripted(prefix []int, cfg Config) *scripted {
+func newScripted(cfg Config) *scripted {
 	return &scripted{
-		prefix:     prefix,
 		maxCrashes: cfg.MaxCrashes,
 		prune:      cfg.Prune,
 		indep:      cfg.Independent,
@@ -760,38 +752,24 @@ func (w *walker) acquire(n int, direct bool) (*sched.Session, error) {
 // owned by the walker's runtime and valid until the next replay.
 func (w *walker) replay(prefix []int, cached bool) (*scripted, *sched.Result, error) {
 	bodies := w.session.Make()
-	var adv *scripted
+	direct := !w.session.ForeignStep
+	if w.adv == nil {
+		w.adv = newScripted(w.cfg)
+		w.adv.batch = direct && !w.cfg.NoBatch
+		// The dedup wiring is walker-constant, so the pooled adversary is
+		// wired once here rather than per run.
+		w.adv.setDedup(w.store, w.session.Fingerprint, w.cfg.Symmetry, w.session.Canon)
+	}
+	adv := w.adv
+	adv.reset(prefix, cached)
 	var res *sched.Result
 	var err error
-	if w.cfg.Respawn {
-		// Baseline mode: fresh adversary, fresh rendezvous-protocol runtime,
-		// exactly as the explorer worked before the session-reuse refactor.
-		adv = newScripted(prefix, w.cfg)
-		adv.setDedup(w.store, w.session.Fingerprint, w.cfg.Symmetry, w.session.Canon)
-		var rt *sched.Session
-		rt, err = sched.NewSessionWith(len(bodies), sched.SessionOptions{Rendezvous: true})
-		if err == nil {
-			res, err = rt.Run(sched.Config{Adversary: adv, MaxSteps: w.cfg.MaxSteps, Observe: w.store != nil}, bodies)
-			rt.Close()
-		}
-	} else {
-		direct := !w.session.ForeignStep
-		if w.adv == nil {
-			w.adv = newScripted(nil, w.cfg)
-			w.adv.batch = direct && !w.cfg.NoBatch
-			// The dedup wiring is walker-constant, so the pooled adversary is
-			// wired once here rather than per run.
-			w.adv.setDedup(w.store, w.session.Fingerprint, w.cfg.Symmetry, w.session.Canon)
-		}
-		adv = w.adv
-		adv.reset(prefix, cached)
-		if w.rt == nil || w.rt.N() != len(bodies) {
-			w.close()
-			w.rt, err = w.acquire(len(bodies), direct)
-		}
-		if err == nil {
-			res, err = w.rt.Run(sched.Config{Adversary: adv, MaxSteps: w.cfg.MaxSteps, Observe: w.store != nil}, bodies)
-		}
+	if w.rt == nil || w.rt.N() != len(bodies) {
+		w.close()
+		w.rt, err = w.acquire(len(bodies), direct)
+	}
+	if err == nil {
+		res, err = w.rt.Run(sched.Config{Adversary: adv, MaxSteps: w.cfg.MaxSteps, Observe: w.store != nil}, bodies)
 	}
 	if err != nil {
 		return adv, nil, fmt.Errorf("%w: %v (schedule %v)", ErrRunFailed, err, scriptOf(adv))
@@ -880,27 +858,30 @@ func checkSymmetry(s Session, cfg Config) error {
 	return nil
 }
 
-// Explore enumerates the decision tree of the processes returned by mk
-// (fresh shared state per run) and applies check to every complete run. It
-// stops at the first property violation. Sessions carrying a Fingerprint
-// (required for Config.Dedup) go through ExploreSession instead.
-func Explore(mk func() []sched.Proc, check func(*sched.Result) error, cfg Config) (Stats, error) {
-	return ExploreSession(Session{Make: mk, Check: check}, cfg)
-}
-
-// ExploreSession is Explore over a prebuilt Session, the entry point for
-// harnesses that carry a Fingerprint for Config.Dedup.
-func ExploreSession(s Session, cfg Config) (Stats, error) {
-	return ExploreSessionContext(context.Background(), s, cfg)
-}
-
-// ExploreSessionContext is ExploreSession under a context: cancelling ctx
-// stops the walk at the next run boundary (a single run is bounded by
-// MaxSteps, so cancellation is prompt) and the exploration returns ctx's
-// error with Stats covering the work done so far, Exhausted false.
-func ExploreSessionContext(ctx context.Context, s Session, cfg Config) (Stats, error) {
+// Run is the exhaustive engine: it enumerates the decision tree of the
+// harness newSession builds and applies its Check to every complete run,
+// stopping at the first property violation. cfg.Workers picks the pool
+// size. With one worker the walk is one DFS on one session: its dedup
+// counts and first counterexample are deterministic. With more, a
+// breadth-first pass splits the tree into disjoint prefix subtrees that the
+// workers exhaust; newSession is then called once per worker plus once for
+// that pass, and every returned Session must own INDEPENDENT run state.
+// Without Config.Dedup the visited run count, pruned-branch count and
+// exhaustion verdict do not depend on the worker count; only the wall clock
+// (and, on property violations, which counterexample surfaces first) does.
+// A checker panic in any worker is re-raised on the caller's goroutine.
+//
+// Cancelling ctx stops every walker at its next run boundary (a single run
+// is bounded by MaxSteps, so cancellation is prompt) and the exploration
+// returns ctx's error with Stats covering the work done so far, Exhausted
+// false.
+func Run(ctx context.Context, newSession func() Session, cfg Config) (Stats, error) {
+	if newSession == nil {
+		panic("explore: Run needs a session factory")
+	}
 	cfg = cfg.withDefaults()
 	start := time.Now()
+	s := newSession()
 	if err := checkSymmetry(s, cfg); err != nil {
 		return Stats{}, err
 	}
@@ -912,17 +893,19 @@ func ExploreSessionContext(ctx context.Context, s Session, cfg Config) (Stats, e
 		store = newDedupStore(cfg.DedupMem, cfg.DedupShards)
 		cfg.Progress.attach(store)
 	}
-	w := &walker{
-		cfg:     cfg,
-		session: s,
-		budget:  newRunBudget(cfg.MaxRuns),
-		stop:    ctx.Done(),
-		store:   store,
-	}
-	defer w.close()
-	st, err := w.explore(nil)
-	if err == nil {
-		err = ctx.Err()
+	budget := newRunBudget(cfg.MaxRuns)
+	var st subtreeStats
+	var workers []WorkerStats
+	var err error
+	if cfg.Workers == 1 {
+		w := &walker{cfg: cfg, session: s, budget: budget, stop: ctx.Done(), store: store}
+		defer w.close()
+		st, err = w.explore(nil)
+		if err == nil {
+			err = ctx.Err()
+		}
+	} else {
+		st, workers, err = explorePool(ctx, s, newSession, cfg, budget, store)
 	}
 	stats := Stats{
 		Runs:      st.runs,
@@ -930,10 +913,22 @@ func ExploreSessionContext(ctx context.Context, s Session, cfg Config) (Stats, e
 		Pruned:    st.pruned,
 		Exhausted: err == nil && !st.aborted,
 		Elapsed:   time.Since(start),
+		Workers:   workers,
 		Dedup:     store.snapshot(),
 	}
 	stats.Dedup.CutAlternatives = st.cutAlts
 	return stats, err
+}
+
+// ExploreSession is Run on the one session s with one worker.
+func ExploreSession(s Session, cfg Config) (Stats, error) {
+	cfg.Workers = 1
+	return Run(context.Background(), func() Session { return s }, cfg)
+}
+
+// ExploreParallel is Run without a context.
+func ExploreParallel(newSession func() Session, cfg Config) (Stats, error) {
+	return Run(context.Background(), newSession, cfg)
 }
 
 func scriptOf(adv *scripted) []string {

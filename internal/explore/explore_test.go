@@ -22,7 +22,7 @@ func TestExhaustiveTwoStepCounting(t *testing.T) {
 		}
 		return []sched.Proc{body, body}
 	}
-	stats, err := Explore(mk, func(*sched.Result) error { return nil }, Config{})
+	stats, err := ExploreSession(Session{Make: mk, Check: func(*sched.Result) error { return nil }}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestExhaustiveTASSingleWinner(t *testing.T) {
 		}
 		return nil
 	}
-	stats, err := Explore(mk, check, Config{})
+	stats, err := ExploreSession(Session{Make: mk, Check: check}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestExhaustiveSafeAgreementSafety(t *testing.T) {
 		}
 		return nil
 	}
-	stats, err := Explore(mk, check, Config{MaxCrashes: 1, MaxSteps: 128})
+	stats, err := ExploreSession(Session{Make: mk, Check: check}, Config{MaxCrashes: 1, MaxSteps: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestExhaustiveCommitAdopt(t *testing.T) {
 		}
 		return nil
 	}
-	stats, err := Explore(mk, check, Config{MaxCrashes: 1, MaxSteps: 64})
+	stats, err := ExploreSession(Session{Make: mk, Check: check}, Config{MaxCrashes: 1, MaxSteps: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestPropertyViolationSurfacesScript(t *testing.T) {
 		}}
 	}
 	wantErr := errors.New("always fails")
-	_, err := Explore(mk, func(*sched.Result) error { return wantErr }, Config{})
+	_, err := ExploreSession(Session{Make: mk, Check: func(*sched.Result) error { return wantErr }}, Config{})
 	var pe *PropertyError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want PropertyError", err)
@@ -228,7 +228,7 @@ func TestMaxRunsBound(t *testing.T) {
 		}
 		return []sched.Proc{body, body, body}
 	}
-	stats, err := Explore(mk, func(*sched.Result) error { return nil }, Config{MaxRuns: 5})
+	stats, err := ExploreSession(Session{Make: mk, Check: func(*sched.Result) error { return nil }}, Config{MaxRuns: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestBodyErrorIsFatal(t *testing.T) {
 			panic("bug in body")
 		}}
 	}
-	_, err := Explore(mk, func(*sched.Result) error { return nil }, Config{})
+	_, err := ExploreSession(Session{Make: mk, Check: func(*sched.Result) error { return nil }}, Config{})
 	if !errors.Is(err, ErrRunFailed) {
 		t.Fatalf("err = %v, want ErrRunFailed", err)
 	}
@@ -311,7 +311,7 @@ func TestExhaustiveImmediateSnapshot(t *testing.T) {
 		}
 		return nil
 	}
-	stats, err := Explore(mk, check, Config{MaxCrashes: 1, MaxSteps: 64})
+	stats, err := ExploreSession(Session{Make: mk, Check: check}, Config{MaxCrashes: 1, MaxSteps: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,9 @@ package explore
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"time"
+
+	"mpcn/internal/explore/internal/pool"
 )
 
 const (
@@ -23,187 +23,75 @@ const (
 	frontierMaxNodes = 4096
 )
 
-// ExploreParallel enumerates the same decision tree as Explore but shards it
-// across cfg.Workers workers (<= 0 selects DefaultWorkers). newSession is
-// called once per worker plus once for the frontier probe; every returned
-// Session must own INDEPENDENT run state, because workers replay runs
-// concurrently. Without Config.Dedup the visited run count, pruned-branch
-// count and exhaustion verdict are identical to the sequential explorer's;
-// only the wall clock (and, on property violations, which counterexample
-// surfaces first) differs. With Dedup the workers share one visited-state
-// store, so cut-offs compose pool-wide and the run count is
-// timing-dependent (bounded by the tree walk's; the verdict still matches).
-// A checker panic in any worker is re-raised on the caller's goroutine.
-func ExploreParallel(newSession func() Session, cfg Config) (Stats, error) {
-	return ExploreParallelContext(context.Background(), newSession, cfg)
-}
-
-// ExploreParallelContext is ExploreParallel under a context: cancelling ctx
-// halts the frontier pass and every worker at its next run boundary, and the
-// exploration returns ctx's error with Stats covering the work done so far,
-// Exhausted false. This is what lets a long-running driver (the exploredd
-// daemon, a Ctrl-C'd CLI sweep) kill a job without waiting for its budget.
-func ExploreParallelContext(ctx context.Context, newSession func() Session, cfg Config) (Stats, error) {
-	if newSession == nil {
-		panic("explore: ExploreParallel needs a session factory")
-	}
-	cfg = cfg.withDefaults()
-	start := time.Now()
-	budget := newRunBudget(cfg.MaxRuns)
-
-	// The visited-state store is shared by every worker, so a state first
-	// visited in one subtree cuts converged branches pool-wide. The frontier
-	// probe runs WITHOUT the store: its replays traverse nodes whose subtrees
-	// are handed to workers wholesale, and fingerprinting them here would
-	// claim ownership of states the probe never expands (see dedup.go).
-	var store *dedupStore
-	probeSession := newSession()
-	if err := checkSymmetry(probeSession, cfg); err != nil {
-		return Stats{}, err
-	}
-	if cfg.Dedup {
-		if probeSession.Fingerprint == nil {
-			return Stats{}, ErrNoFingerprint
-		}
-		store = newDedupStore(cfg.DedupMem, cfg.DedupShards)
-		cfg.Progress.attach(store)
-	}
-
-	// Phase 1: enumerate a frontier of disjoint subtree prefixes, counting
-	// (and checking) any complete runs shallower than the frontier.
+// explorePool is Run's multi-worker path. Phase 1 expands a frontier of
+// disjoint subtree prefixes breadth-first on probe (counting and checking
+// any complete runs shallower than the frontier); phase 2 hands the
+// subtrees to cfg.Workers walkers, each on its own newSession harness. The
+// visited-state store is shared by every worker, so a state first visited
+// in one subtree cuts converged branches pool-wide. The probe runs WITHOUT
+// the store: its replays traverse nodes whose subtrees are handed to
+// workers wholesale, and fingerprinting them here would claim ownership of
+// states the probe never expands (see dedup.go).
+func explorePool(ctx context.Context, probeSession Session, newSession func() Session, cfg Config, budget *runBudget, store *dedupStore) (subtreeStats, []WorkerStats, error) {
 	probe := &walker{cfg: cfg, session: probeSession, budget: budget, stop: ctx.Done()}
 	defer probe.close()
-	frontier, base, err := buildFrontier(probe, cfg.Workers*frontierPerWorker)
+	frontier, st, err := buildFrontier(probe, cfg.Workers*frontierPerWorker)
 	if err == nil {
 		err = ctx.Err()
 	}
-	if err != nil || base.aborted || len(frontier) == 0 {
-		return Stats{
-			Runs:      base.runs,
-			MaxDepth:  base.maxDepth,
-			Pruned:    base.pruned,
-			Exhausted: err == nil && !base.aborted,
-			Elapsed:   time.Since(start),
-		}, err
+	if err != nil || st.aborted || len(frontier) == 0 {
+		return st, nil, err
 	}
 
-	// Phase 2: workers drain the frontier, each exhausting whole subtrees.
-	nw := cfg.Workers
-	if nw > len(frontier) {
-		nw = len(frontier)
+	// The frontier is handed out in sibling order through a closed,
+	// prefilled channel; once the pool halts, the walkers drain the rest at
+	// the cost of one stop check each.
+	work := make(chan []int, len(frontier))
+	for _, p := range frontier {
+		work <- p
 	}
+	close(work)
+	nw := min(cfg.Workers, len(frontier))
 	sessions := make([]Session, nw)
 	for i := range sessions {
 		sessions[i] = newSession()
 	}
-
 	type workerOut struct {
 		ws       WorkerStats
 		maxDepth int
 		cutAlts  int
 		aborted  bool
-		err      error
-		panicked any
 	}
 	outs := make([]workerOut, nw)
-	work := make(chan []int)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-
-	// Relay ctx cancellation into the pool's halt signal; the relay exits
-	// when the workers drain (watchDone) so it never leaks.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				halt()
-			case <-watchDone:
+	err = pool.Run(ctx, "explore", nw, nil, func(k int, stop <-chan struct{}) error {
+		t0 := time.Now()
+		out := &outs[k]
+		out.ws.Worker = k
+		defer func() { out.ws.Busy = time.Since(t0) }()
+		w := &walker{cfg: cfg, session: sessions[k], budget: budget, stop: stop, store: store}
+		defer w.close()
+		for prefix := range work {
+			sub, err := w.explore(prefix)
+			out.ws.Runs += sub.runs
+			out.ws.Pruned += sub.pruned
+			out.cutAlts += sub.cutAlts
+			out.maxDepth = max(out.maxDepth, sub.maxDepth)
+			// A dry run budget is not worth halting the pool for: every
+			// further subtree aborts on its first ticket.
+			out.aborted = out.aborted || sub.aborted
+			if err != nil {
+				return err
 			}
-		}()
-	}
-
-	var wg sync.WaitGroup
-	for k := 0; k < nw; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			t0 := time.Now()
-			out := &outs[k]
-			out.ws.Worker = k
-			defer func() {
-				out.ws.Busy = time.Since(t0)
-				if r := recover(); r != nil {
-					out.panicked = r
-					halt()
-				}
-			}()
-			w := &walker{cfg: cfg, session: sessions[k], budget: budget, stop: stop, store: store}
-			defer w.close()
-			for prefix := range work {
-				st, err := w.explore(prefix)
-				out.ws.Runs += st.runs
-				out.ws.Pruned += st.pruned
-				out.cutAlts += st.cutAlts
-				if st.maxDepth > out.maxDepth {
-					out.maxDepth = st.maxDepth
-				}
-				// A dry run budget is not worth halting the pool for: every
-				// further subtree aborts on its first ticket, so draining the
-				// queue is cheap and keeps the feeder unblocked.
-				out.aborted = out.aborted || st.aborted
-				if err != nil {
-					out.err = err
-					halt()
-					return
-				}
-			}
-		}(k)
-	}
-
-feed:
-	for _, p := range frontier {
-		select {
-		case work <- p:
-		case <-stop:
-			break feed
 		}
-	}
-	close(work)
-	wg.Wait()
-
-	st := base
-	var firstErr error
-	workers := make([]WorkerStats, 0, nw)
+		return nil
+	})
+	workers := make([]WorkerStats, nw)
 	for k := range outs {
 		o := &outs[k]
 		st.fold(subtreeStats{runs: o.ws.Runs, maxDepth: o.maxDepth, pruned: o.ws.Pruned, cutAlts: o.cutAlts, aborted: o.aborted})
-		workers = append(workers, o.ws)
-		if o.err != nil && firstErr == nil {
-			firstErr = o.err
-		}
-		if o.panicked != nil {
-			panic(fmt.Sprintf("explore: checker panicked in worker %d: %v", k, o.panicked))
-		}
+		workers[k] = o.ws
 	}
-	if firstErr == nil {
-		// A worker's violation outranks the cancellation that may have raced
-		// with it; a clean halt with a cancelled ctx reports the cancellation.
-		firstErr = ctx.Err()
-	}
-	stats := Stats{
-		Runs:      st.runs,
-		MaxDepth:  st.maxDepth,
-		Pruned:    st.pruned,
-		Exhausted: firstErr == nil && !st.aborted,
-		Elapsed:   time.Since(start),
-		Workers:   workers,
-		Dedup:     store.snapshot(),
-	}
-	stats.Dedup.CutAlternatives = st.cutAlts
-	return stats, firstErr
+	return st, workers, err
 }
 
 // buildFrontier expands the decision tree breadth-first until at least

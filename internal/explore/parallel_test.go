@@ -98,7 +98,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.session()
-			seq, err := Explore(s.Make, s.Check, tc.cfg)
+			seq, err := ExploreSession(s, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func TestParallelMaxRunsAbortsMidFrontier(t *testing.T) {
 	const maxRuns = 7
 	cfg := Config{Workers: 4, MaxRuns: maxRuns}
 	s := tasSession()
-	seq, err := Explore(s.Make, s.Check, cfg)
+	seq, err := ExploreSession(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestParallelTinyTreeFinishesInFrontier(t *testing.T) {
 	if !stats.Exhausted || stats.Runs == 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	seq, err := Explore(session().Make, session().Check, Config{})
+	seq, err := ExploreSession(session(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

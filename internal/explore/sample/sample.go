@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"mpcn/internal/explore"
+	"mpcn/internal/explore/internal/pool"
 	"mpcn/internal/sched"
 )
 
@@ -70,8 +71,8 @@ type Config struct {
 	// Depth is the PCT depth d — d-1 priority-change points per run (0 =
 	// DefaultDepth). The walk strategy ignores it; swarm mixes up to it.
 	Depth int
-	// Workers sets the worker-pool size of RunParallel (ignored by Run;
-	// <= 0 selects explore.DefaultWorkers).
+	// Workers sets the worker-pool size of RunContext (<= 0 selects
+	// explore.DefaultWorkers); Run always draws with one worker.
 	Workers int
 	// Coverage enables the distinct-state estimator: every decision boundary
 	// is fingerprinted into a bounded VisitedStore (Stats.Distinct,
@@ -91,9 +92,10 @@ type Config struct {
 	// sample budget (0 = 8; < 0 disables the series).
 	Checkpoints int
 	// OnSample, when non-nil, receives every completed passing sample's
-	// index and decision script. Under RunParallel it is called concurrently
-	// from the worker goroutines; callers synchronize. Rendering scripts
-	// allocates, so leave it nil on throughput-sensitive runs.
+	// index and decision script. With several workers it is called
+	// concurrently from the worker goroutines; callers synchronize.
+	// Rendering scripts allocates, so leave it nil on throughput-sensitive
+	// runs.
 	OnSample func(sample int, script []string)
 	// Progress, when non-nil, is updated live while the job runs: workers
 	// add every completed sample and the coverage store (under Coverage) is
@@ -163,7 +165,8 @@ type Stats struct {
 	// scenario's real depth sharpens both the placement and the bound. Zero
 	// for strategies without the bound (walk, swarm).
 	PCTBound float64
-	// Workers holds the per-worker breakdown of RunParallel (nil for Run).
+	// Workers holds the per-worker breakdown of a pool (nil with one
+	// worker).
 	Workers []WorkerStats
 }
 
@@ -429,31 +432,96 @@ func (c *checkpoints) completed() {
 	c.mu.Unlock()
 }
 
-// validate rejects unusable configs before any goroutine or store spins up.
-func validate(cfg Config) error {
+// RunContext is the sampling engine: it draws cfg.Samples runs of the
+// harness newSession builds, driving decisions with the named strategy
+// ("walk", "pct", "swarm"), on a pool of cfg.Workers workers. Workers claim
+// sample indices from a shared counter, so the drawn sample set does not
+// depend on the pool size — sample i's decisions depend only on
+// (Config.Seed, i) — and one worker draws them in order, 0 to N-1. The
+// violation sink and the coverage store are shared: the first violation
+// stops the pool, and when several workers find one concurrently the
+// smallest sample index wins (the one-worker draw's first violation; which
+// violation surfaces on a given wall clock is otherwise timing-dependent,
+// exactly like the exhaustive engine's counterexample choice). A violation
+// comes back as an explore.PropertyError wrapping a SampleError; a clean
+// return means every drawn run passed the checker. newSession is called
+// once per worker; every returned Session must own independent run state. A
+// checker panic in any worker is re-raised on the caller's goroutine.
+//
+// Cancelling ctx halts every worker at its next sample boundary and the run
+// returns ctx's error (a violation a worker found before the halt outranks
+// it) with the Stats accumulated so far.
+func RunContext(ctx context.Context, newSession func() explore.Session, strategy string, cfg Config) (Stats, error) {
+	if newSession == nil {
+		panic("sample: RunContext needs a session factory")
+	}
+	mk, err := factory(strategy, cfg.Depth)
+	if err != nil {
+		return Stats{}, err
+	}
+	cfg = cfg.withDefaults()
 	if cfg.Samples <= 0 {
-		return errors.New("sample: Config.Samples must be positive")
+		return Stats{}, errors.New("sample: Config.Samples must be positive")
 	}
-	return nil
-}
+	start := time.Now()
+	var store *explore.VisitedStore // the coverage estimator; nil = off
+	if cfg.Coverage {
+		store = explore.NewVisitedStore(cfg.CoverageMem, cfg.CoverageShards)
+	}
+	cfg.Progress.attach(store)
+	cps := newCheckpoints(cfg, store)
 
-// newStore builds the coverage estimator store (nil when Coverage is off).
-func newStore(cfg Config) *explore.VisitedStore {
-	if !cfg.Coverage {
-		return nil
+	nw := min(cfg.Workers, cfg.Samples)
+	var next atomic.Int64
+	type workerOut struct {
+		ws       WorkerStats
+		maxDepth int
+		n        int
+		errAt    int // sample index of the worker's error
 	}
-	return explore.NewVisitedStore(cfg.CoverageMem, cfg.CoverageShards)
-}
+	outs := make([]workerOut, nw)
+	rank := func(k int) int { return outs[k].errAt }
+	err = pool.Run(ctx, "sample", nw, rank, func(k int, stop <-chan struct{}) error {
+		t0 := time.Now()
+		out := &outs[k]
+		out.ws.Worker = k
+		w := &worker{cfg: cfg, session: newSession(), strategy: mk(), store: store}
+		defer func() {
+			out.ws.Busy = time.Since(t0)
+			out.ws.Samples = w.samples
+			out.maxDepth = w.maxDepth
+			out.n = w.n
+			w.close()
+		}()
+		for {
+			select {
+			case <-stop:
+				return nil
+			default:
+			}
+			i := int(next.Add(1)) - 1
+			if i >= cfg.Samples {
+				return nil
+			}
+			if err := w.sampleOne(i); err != nil {
+				out.errAt = i
+				return err
+			}
+			cps.completed()
+		}
+	})
 
-// finish assembles the Stats shared by Run and RunParallel.
-func finish(cfg Config, name string, samples, maxDepth, n int, start time.Time, store *explore.VisitedStore, cps *checkpoints) Stats {
-	st := Stats{
-		Strategy: name,
-		Samples:  samples,
-		MaxDepth: maxDepth,
-		Procs:    n,
-		Elapsed:  time.Since(start),
+	st := Stats{Strategy: mk().Name()}
+	for k := range outs {
+		o := &outs[k]
+		st.Samples += o.ws.Samples
+		st.MaxDepth = max(st.MaxDepth, o.maxDepth)
+		st.Procs = max(st.Procs, o.n)
+		if nw > 1 {
+			st.Workers = append(st.Workers, o.ws)
+		}
 	}
+	st.Elapsed = time.Since(start)
 	if store != nil {
 		st.Coverage = store.Stats()
 		st.Distinct = st.Coverage.States
@@ -463,63 +531,25 @@ func finish(cfg Config, name string, samples, maxDepth, n int, start time.Time, 
 		st.Series = append([]CoveragePoint(nil), cps.series...)
 		cps.mu.Unlock()
 	}
-	if name == StrategyPCT {
+	if st.Strategy == StrategyPCT {
 		d := cfg.Depth
 		if d <= 0 {
 			d = DefaultDepth
 		}
-		st.PCTBound = pctBound(n, cfg.MaxSteps, d)
+		st.PCTBound = pctBound(st.Procs, cfg.MaxSteps, d)
 	}
-	return st
+	return st, err
 }
 
-// RunWith draws cfg.Samples runs of s sequentially, driving decisions with
-// the sampler mk builds. Sampling stops at the first property violation
-// (returned as an explore.PropertyError wrapping a SampleError) or runtime
-// failure; a clean return means every drawn run passed the checker.
-func RunWith(s explore.Session, mk func() Sampler, cfg Config) (Stats, error) {
-	return RunWithContext(context.Background(), s, mk, cfg)
-}
-
-// RunWithContext is RunWith under a context: cancelling ctx stops the draw at
-// the next sample boundary and returns ctx's error with the Stats accumulated
-// so far.
-func RunWithContext(ctx context.Context, s explore.Session, mk func() Sampler, cfg Config) (Stats, error) {
-	cfg = cfg.withDefaults()
-	if err := validate(cfg); err != nil {
-		return Stats{}, err
-	}
-	start := time.Now()
-	store := newStore(cfg)
-	cfg.Progress.attach(store)
-	cps := newCheckpoints(cfg, store)
-	w := &worker{cfg: cfg, session: s, strategy: mk(), store: store}
-	defer w.close()
-	var err error
-	for i := 0; i < cfg.Samples; i++ {
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		if err = w.sampleOne(i); err != nil {
-			break
-		}
-		cps.completed()
-	}
-	return finish(cfg, w.strategy.Name(), w.samples, w.maxDepth, w.n, start, store, cps), err
-}
-
-// Run is RunWith over a built-in strategy name ("walk", "pct", "swarm").
+// Run is RunContext on the one session s with one worker.
 func Run(s explore.Session, strategy string, cfg Config) (Stats, error) {
-	return RunContext(context.Background(), s, strategy, cfg)
+	cfg.Workers = 1
+	return RunContext(context.Background(), func() explore.Session { return s }, strategy, cfg)
 }
 
-// RunContext is Run under a context (see RunWithContext).
-func RunContext(ctx context.Context, s explore.Session, strategy string, cfg Config) (Stats, error) {
-	mk, err := factory(strategy, cfg.Depth)
-	if err != nil {
-		return Stats{}, err
-	}
-	return RunWithContext(ctx, s, mk, cfg)
+// RunParallel is RunContext without a context.
+func RunParallel(newSession func() explore.Session, strategy string, cfg Config) (Stats, error) {
+	return RunContext(context.Background(), newSession, strategy, cfg)
 }
 
 // factory validates the strategy name once and returns a per-worker
@@ -532,160 +562,6 @@ func factory(strategy string, depth int) (func() Sampler, error) {
 		s, _ := New(strategy, depth)
 		return s
 	}, nil
-}
-
-// RunParallelWith is RunWith sharded across cfg.Workers workers. Workers
-// claim sample indices from a shared counter, so the drawn sample set is the
-// same one the sequential engine draws — sample i's decisions depend only on
-// (Config.Seed, i) — while the violation sink and the coverage store are
-// shared: the first violation stops the pool, and when several workers find
-// one concurrently the smallest sample index wins (the closest the pool can
-// get to the sequential engine's first-violation report; which violation
-// surfaces on a given wall clock remains timing-dependent, exactly like the
-// parallel exhaustive explorer's counterexample choice). newSession is
-// called once per worker; every returned Session must own independent run
-// state. A checker panic in any worker is re-raised on the caller's
-// goroutine.
-func RunParallelWith(newSession func() explore.Session, mk func() Sampler, cfg Config) (Stats, error) {
-	return RunParallelWithContext(context.Background(), newSession, mk, cfg)
-}
-
-// RunParallelWithContext is RunParallelWith under a context: cancelling ctx
-// halts every worker at its next sample boundary and the run returns ctx's
-// error (a violation a worker found before the halt outranks it) with the
-// Stats accumulated so far.
-func RunParallelWithContext(ctx context.Context, newSession func() explore.Session, mk func() Sampler, cfg Config) (Stats, error) {
-	if newSession == nil {
-		panic("sample: RunParallelWith needs a session factory")
-	}
-	cfg = cfg.withDefaults()
-	if err := validate(cfg); err != nil {
-		return Stats{}, err
-	}
-	start := time.Now()
-	store := newStore(cfg)
-	cfg.Progress.attach(store)
-	cps := newCheckpoints(cfg, store)
-
-	nw := cfg.Workers
-	if nw > cfg.Samples {
-		nw = cfg.Samples
-	}
-	var next atomic.Int64
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-
-	// Relay ctx cancellation into the pool's halt signal; the relay exits
-	// when the workers drain (watchDone) so it never leaks.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				halt()
-			case <-watchDone:
-			}
-		}()
-	}
-
-	type workerOut struct {
-		ws       WorkerStats
-		maxDepth int
-		n        int
-		errAt    int // sample index of err; -1 = none
-		err      error
-		panicked any
-	}
-	outs := make([]workerOut, nw)
-	var wg sync.WaitGroup
-	for k := 0; k < nw; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			t0 := time.Now()
-			out := &outs[k]
-			out.ws.Worker = k
-			out.errAt = -1
-			w := &worker{cfg: cfg, session: newSession(), strategy: mk(), store: store}
-			defer func() {
-				out.ws.Busy = time.Since(t0)
-				out.ws.Samples = w.samples
-				out.maxDepth = w.maxDepth
-				out.n = w.n
-				w.close()
-				if r := recover(); r != nil {
-					out.panicked = r
-					halt()
-				}
-			}()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				i := int(next.Add(1)) - 1
-				if i >= cfg.Samples {
-					return
-				}
-				if err := w.sampleOne(i); err != nil {
-					out.err = err
-					out.errAt = i
-					halt()
-					return
-				}
-				cps.completed()
-			}
-		}(k)
-	}
-	wg.Wait()
-
-	samples, maxDepth, n := 0, 0, 0
-	var firstErr error
-	firstAt := -1
-	workers := make([]WorkerStats, 0, nw)
-	for k := range outs {
-		o := &outs[k]
-		if o.panicked != nil {
-			panic(fmt.Sprintf("sample: checker panicked in worker %d: %v", k, o.panicked))
-		}
-		samples += o.ws.Samples
-		if o.maxDepth > maxDepth {
-			maxDepth = o.maxDepth
-		}
-		if o.n > n {
-			n = o.n
-		}
-		workers = append(workers, o.ws)
-		if o.err != nil && (firstAt < 0 || o.errAt < firstAt) {
-			firstErr, firstAt = o.err, o.errAt
-		}
-	}
-	if firstErr == nil {
-		// A worker's violation outranks the cancellation that may have raced
-		// with it; a clean halt with a cancelled ctx reports the cancellation.
-		firstErr = ctx.Err()
-	}
-	st := finish(cfg, mk().Name(), samples, maxDepth, n, start, store, cps)
-	st.Workers = workers
-	return st, firstErr
-}
-
-// RunParallel is RunParallelWith over a built-in strategy name.
-func RunParallel(newSession func() explore.Session, strategy string, cfg Config) (Stats, error) {
-	return RunParallelContext(context.Background(), newSession, strategy, cfg)
-}
-
-// RunParallelContext is RunParallel under a context (see
-// RunParallelWithContext).
-func RunParallelContext(ctx context.Context, newSession func() explore.Session, strategy string, cfg Config) (Stats, error) {
-	mk, err := factory(strategy, cfg.Depth)
-	if err != nil {
-		return Stats{}, err
-	}
-	return RunParallelWithContext(ctx, newSession, mk, cfg)
 }
 
 // Replay re-executes sample index of the (strategy, cfg) stream and returns

@@ -20,58 +20,46 @@ type (
 	PropertyError = explore.PropertyError
 )
 
-var (
-	Explore         = explore.Explore
-	ExploreParallel = explore.ExploreParallel
-)
+var ExploreParallel = explore.ExploreParallel
 
 // TestSessionReuseMatchesRespawn is the session-reuse acceptance regression:
 // the session-backed explorer must visit exactly the state space the PR-1
 // respawning explorer visited — identical visited-run counts, pruned-branch
 // counts, depths and exhaustion verdicts — on the commit-adopt exhaustive
 // sweep, with and without crashes and partial-order reduction, and likewise
-// for the x-safe sweep and the parallel engine.
+// for the x-safe sweep and the parallel engine. The respawning explorer is
+// gone; the golden counts were recorded from it.
 func TestSessionReuseMatchesRespawn(t *testing.T) {
+	type golden struct{ runs, pruned, depth int }
 	cases := []struct {
 		name       string
 		newSession func() Session
 		cfg        Config
+		want       golden
 	}{
-		{"commitadopt/n=2", sessions.CommitAdopt(2), Config{MaxSteps: 64}},
-		{"commitadopt/n=2/crashes=1", sessions.CommitAdopt(2), Config{MaxCrashes: 1, MaxSteps: 64}},
-		{"commitadopt/n=2/crashes=1/prune", sessions.CommitAdopt(2), Config{MaxCrashes: 1, MaxSteps: 64, Prune: true}},
-		{"xsafe/n=2/x=2/crashes=1", sessions.XSafe(2, 2, 2), Config{MaxCrashes: 1, MaxSteps: 256}},
-		{"registers/n=3/prune", sessions.Registers(3, 2, 0, reg.Atomic), Config{Prune: true}},
+		{"commitadopt/n=2", sessions.CommitAdopt(2), Config{MaxSteps: 64}, golden{252, 0, 10}},
+		{"commitadopt/n=2/crashes=1", sessions.CommitAdopt(2), Config{MaxCrashes: 1, MaxSteps: 64}, golden{1174, 0, 10}},
+		{"commitadopt/n=2/crashes=1/prune", sessions.CommitAdopt(2), Config{MaxCrashes: 1, MaxSteps: 64, Prune: true}, golden{109, 29, 10}},
+		{"xsafe/n=2/x=2/crashes=1", sessions.XSafe(2, 2, 2), Config{MaxCrashes: 1, MaxSteps: 256}, golden{1890, 0, 11}},
+		{"registers/n=3/prune", sessions.Registers(3, 2, 0, reg.Atomic), Config{Prune: true}, golden{34, 75, 9}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			respawnCfg := tc.cfg
-			respawnCfg.Respawn = true
-			s := tc.newSession()
-			baseline, err := Explore(s.Make, s.Check, respawnCfg)
+			reused, err := explore.ExploreSession(tc.newSession(), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s = tc.newSession()
-			reused, err := Explore(s.Make, s.Check, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if reused.Runs != baseline.Runs || reused.Pruned != baseline.Pruned ||
-				reused.MaxDepth != baseline.MaxDepth || reused.Exhausted != baseline.Exhausted {
-				t.Fatalf("session-reuse diverged from respawn baseline:\nreuse:   %+v\nrespawn: %+v",
-					reused, baseline)
-			}
-			if baseline.Runs == 0 || !baseline.Exhausted {
-				t.Fatalf("baseline did not explore: %+v", baseline)
+			if got := (golden{reused.Runs, reused.Pruned, reused.MaxDepth}); got != tc.want || !reused.Exhausted {
+				t.Fatalf("session-reuse diverged from the respawn golden: got %+v exhausted=%v, want %+v",
+					got, reused.Exhausted, tc.want)
 			}
 			// The parallel engine (session-backed workers) must agree too.
 			par, err := ExploreParallel(tc.newSession, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if par.Runs != baseline.Runs || par.Pruned != baseline.Pruned || !par.Exhausted {
-				t.Fatalf("parallel session engine diverged: par=%+v baseline=%+v", par, baseline)
+			if par.Runs != tc.want.runs || par.Pruned != tc.want.pruned || !par.Exhausted {
+				t.Fatalf("parallel session engine diverged: par=%+v want=%+v", par, tc.want)
 			}
 		})
 	}
@@ -79,35 +67,30 @@ func TestSessionReuseMatchesRespawn(t *testing.T) {
 
 // TestSessionReuseByteIdenticalScripts: on a property violation, the failing
 // decision script surfaced by the session-backed explorer is identical to
-// the respawning explorer's — the counterexamples users replay are
-// unaffected by the runtime swap.
+// the one the respawning explorer surfaced (recorded before it was deleted)
+// — the counterexamples users replay are unaffected by the runtime swap.
 func TestSessionReuseByteIdenticalScripts(t *testing.T) {
-	script := func(respawn bool) []string {
-		s := sessions.Registers(2, 2, 0, reg.Atomic)()
-		runs := 0
-		inner := s.Check
-		s.Check = func(res *sched.Result) error {
-			if err := inner(res); err != nil {
-				return err
-			}
-			runs++
-			if runs == 5 {
-				return errors.New("synthetic violation on the 5th run")
-			}
-			return nil
+	s := sessions.Registers(2, 2, 0, reg.Atomic)()
+	runs := 0
+	inner := s.Check
+	s.Check = func(res *sched.Result) error {
+		if err := inner(res); err != nil {
+			return err
 		}
-		_, err := Explore(s.Make, s.Check, Config{MaxCrashes: 1, Respawn: respawn})
-		var pe *PropertyError
-		if !errors.As(err, &pe) {
-			t.Fatalf("want PropertyError, got %v", err)
+		runs++
+		if runs == 5 {
+			return errors.New("synthetic violation on the 5th run")
 		}
-		return pe.Script
+		return nil
 	}
-	baseline, reused := script(true), script(false)
-	if len(baseline) == 0 {
-		t.Fatal("empty counterexample script")
+	_, err := explore.ExploreSession(s, Config{MaxCrashes: 1})
+	var pe *PropertyError
+	if !errors.As(err, &pe) {
+		t.Fatalf("want PropertyError, got %v", err)
 	}
-	if fmt.Sprint(baseline) != fmt.Sprint(reused) {
-		t.Fatalf("counterexample scripts differ:\nrespawn: %v\nreuse:   %v", baseline, reused)
+	want := []string{"run(0@(start))", "run(0@r[0].write)", "run(1@(start))",
+		"run(0@r[0].write)", "run(1@r[1].write)", "run(1@r[1].write)"}
+	if fmt.Sprint(pe.Script) != fmt.Sprint(want) {
+		t.Fatalf("counterexample script differs from the respawn golden:\ngot:  %v\nwant: %v", pe.Script, want)
 	}
 }

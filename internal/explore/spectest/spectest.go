@@ -293,15 +293,13 @@ func cell(t *testing.T, s spec.Spec, p spec.Params, opt Options) {
 	}
 }
 
+// mustExplore exhausts one cell on a worker pool (parallel) or one worker.
 func mustExplore(t *testing.T, s spec.Spec, p spec.Params, cfg explore.Config, parallel bool) explore.Stats {
 	t.Helper()
-	var st explore.Stats
-	var err error
-	if parallel {
-		st, err = explore.ExploreParallel(spec.Factory(s, p), cfg)
-	} else {
-		st, err = explore.ExploreSession(s.New(p), cfg)
+	if !parallel {
+		cfg.Workers = 1
 	}
+	st, err := explore.ExploreParallel(spec.Factory(s, p), cfg)
 	if err != nil {
 		t.Fatalf("spec %q %v: %v", s.Name(), p, err)
 	}

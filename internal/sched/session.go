@@ -160,8 +160,7 @@ type SessionOptions struct {
 	// goroutine switches per step. The default inline protocol dispatches on
 	// the process goroutines themselves and switches only when the token
 	// moves. Rendezvous mode is kept as the reference implementation for
-	// differential tests and as the faithful respawn baseline of the
-	// session-reuse benchmarks.
+	// the protocol-equivalence differential tests.
 	Rendezvous bool
 
 	// Direct selects the coroutine protocol: processes run as iter.Pull

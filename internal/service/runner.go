@@ -155,7 +155,8 @@ func runJob(js *jobState, cache *Cache, pool *SessionPool) {
 			js.started = time.Now()
 			js.mu.Unlock()
 			js.state.Store(StateRunning)
-			r := execute(js.ctx, js.job, js.eprog, js.sprog, pool)
+			est, sst, err := Execute(js.ctx, js.job, js.eprog, js.sprog, pool)
+			r := NewResult(js.job, est, sst, err)
 			if r.Verdict == VerdictCanceled {
 				// Free the key so the next identical submission re-runs, but
 				// still deliver the cancellation to any followers.
@@ -193,35 +194,30 @@ func canceledResult(j *Job) Result {
 	return r
 }
 
-// execute runs the job's engine under its context, wired to the pool and the
-// job's live progress counters.
-func execute(ctx context.Context, j *Job, eprog *explore.Progress, sprog *sample.Progress, pool *SessionPool) Result {
+// Execute runs job j on its engine under ctx and returns the engine's raw
+// stats (NewResult projects them into the wire record). It is the one
+// execution path of the daemon, cmd/explore and cmd/benchexplore: the job's
+// Engine.Workers picks the engine's pool size, eprog/sprog receive the live
+// counters of the exhaustive/sampling engine (nil = untracked), and rt, when
+// non-nil, supplies the runtimes the engines replay on.
+func Execute(ctx context.Context, j *Job, eprog *explore.Progress, sprog *sample.Progress, rt explore.RuntimeSource) (explore.Stats, sample.Stats, error) {
+	newSession := spec.Factory(j.Spec, j.Params)
 	if j.Engine.Mode == ModeSample {
 		cfg, err := j.SampleConfig()
 		if err != nil {
-			return NewResult(j, explore.Stats{}, sample.Stats{}, err)
+			return explore.Stats{}, sample.Stats{}, err
 		}
 		cfg.Progress = sprog
-		cfg.Runtime = pool
-		var st sample.Stats
-		if j.Engine.Workers == 1 {
-			st, err = sample.RunContext(ctx, j.Spec.New(j.Params), j.Engine.Strategy, cfg)
-		} else {
-			st, err = sample.RunParallelContext(ctx, spec.Factory(j.Spec, j.Params), j.Engine.Strategy, cfg)
-		}
-		return NewResult(j, explore.Stats{}, st, err)
+		cfg.Runtime = rt
+		st, err := sample.RunContext(ctx, newSession, j.Engine.Strategy, cfg)
+		return explore.Stats{}, st, err
 	}
 	cfg, err := j.ExploreConfig()
 	if err != nil {
-		return NewResult(j, explore.Stats{}, sample.Stats{}, err)
+		return explore.Stats{}, sample.Stats{}, err
 	}
 	cfg.Progress = eprog
-	cfg.Runtime = pool
-	var st explore.Stats
-	if j.Engine.Workers == 1 {
-		st, err = explore.ExploreSessionContext(ctx, j.Spec.New(j.Params), cfg)
-	} else {
-		st, err = explore.ExploreParallelContext(ctx, spec.Factory(j.Spec, j.Params), cfg)
-	}
-	return NewResult(j, st, sample.Stats{}, err)
+	cfg.Runtime = rt
+	st, err := explore.Run(ctx, newSession, cfg)
+	return st, sample.Stats{}, err
 }
