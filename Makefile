@@ -63,7 +63,7 @@ profile: build
 # sequential/parallel equality, capability honesty — over every registered
 # spec on a bounded grid.
 spec-conformance: build
-	$(GO) test -race -count=1 -run TestConformanceAllSpecs ./internal/explore/spectest
+	$(GO) test -race -count=1 -run 'TestConformanceAllSpecs|TestSpecAnchors' ./internal/explore/spectest
 
 # Symmetry-soundness gate (CI's test job): the spectest symmetry battery
 # (orbit-canonical outcome preservation, permuted-script verdict invariance,

@@ -321,7 +321,7 @@ func coverage(t *testing.T, s spec.Spec, p spec.Params, cfg explore.Config) (map
 		if err := inner(res); err != nil {
 			return err
 		}
-		cover[leafSignature(res, leafFP)] = true
+		cover[LeafSignature(res, leafFP)] = true
 		return nil
 	}
 	st, err := explore.ExploreSession(sess, cfg)
@@ -332,10 +332,11 @@ func coverage(t *testing.T, s spec.Spec, p spec.Params, cfg explore.Config) (map
 	return cover, st
 }
 
-// leafSignature canonicalizes one run's checker-observable final state: the
+// LeafSignature canonicalizes one run's checker-observable final state: the
 // per-process outcomes, sorted for interleaving-insensitivity, plus the
-// harness fingerprint digest at the leaf when the spec carries one.
-func leafSignature(res *sched.Result, leafFP func(*sched.FP)) string {
+// harness fingerprint digest at the leaf when the spec carries one. Two runs
+// with equal signatures are the same element of a cell's outcome set.
+func LeafSignature(res *sched.Result, leafFP func(*sched.FP)) string {
 	sig := make([]string, 0, len(res.Outcomes))
 	for _, o := range res.Outcomes {
 		sig = append(sig, fmt.Sprintf("%v/%v/%v", o.Status, o.Decided, o.Value))
@@ -404,7 +405,7 @@ func samplerSoundness(t *testing.T, s spec.Spec, p spec.Params, opt Options, wan
 			if err := inner(res); err != nil {
 				return err
 			}
-			if sig := leafSignature(res, leafFP); !want[sig] {
+			if sig := LeafSignature(res, leafFP); !want[sig] {
 				return fmt.Errorf("sampled outcome %s is outside the exhaustive outcome set", sig)
 			}
 			return nil
