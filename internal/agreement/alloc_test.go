@@ -20,7 +20,7 @@ func TestAllocsObservedScan(t *testing.T) {
 	}
 	const k = 200
 	sm := snapshot.NewPrimitive[saCell]("SM", 3)
-	rt, err := sched.NewSessionWith(1, sched.SessionOptions{Direct: true})
+	rt, err := sched.NewSession(1)
 	if err != nil {
 		t.Fatal(err)
 	}

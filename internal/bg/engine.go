@@ -17,7 +17,15 @@
 // The agreement objects are pluggable: safe_agreement (Figure 1) yields the
 // classic BG simulation and the Section 3 forward simulation, while
 // x_safe_agreement (Figure 6) yields the Section 4 reverse simulation and
-// the Section 5.5 colored simulation. The mutex-1 discipline (a simulator is
+// the Section 5.5 colored simulation.
+//
+// Each thread is an iter.Pull coroutine nested inside its simulator's body,
+// and it never touches the scheduler itself: for each of its four shared
+// operations (MEM update and scan, agreement propose and decide probe) it
+// stores a typed request on its simAPI and yields. The simulator performs
+// the request with its own Env, on its own coroutine, and resumes the same
+// thread; it moves round-robin only on a plain fairness yield. The mutex-1
+// discipline (a simulator is
 // engaged in at most one agreement propose at a time) and the mutex-2
 // discipline (at most one simulated x_cons_propose at a time) are enforced
 // with thread-local cooperative locks, exactly as in the paper.
@@ -25,11 +33,11 @@ package bg
 
 import (
 	"fmt"
+	"iter"
 	"strconv"
 	"sync"
 
 	"mpcn/internal/algorithms"
-	"mpcn/internal/coro"
 	"mpcn/internal/object"
 	"mpcn/internal/sched"
 	"mpcn/internal/snapshot"
@@ -331,7 +339,7 @@ func (t *agNameTable) xconsName(a int) string {
 
 // simulatorState is the per-simulator local state: its copy of the simulated
 // memory, sequence counters, cached x_cons results, the two thread-local
-// mutexes and the decisions its threads produced.
+// mutexes, the decisions its threads produced and the threads themselves.
 type simulatorState struct {
 	memi   memRow
 	wSN    []int
@@ -346,6 +354,17 @@ type simulatorState struct {
 	// of x blocked processes per simulator crash.
 	mutex2  map[int]bool
 	decided []any
+
+	threads []simThread
+	cursor  int // round-robin position: the next thread to resume
+}
+
+// simThread is the coroutine of one simulated process.
+type simThread struct {
+	api  *simAPI
+	next func() (struct{}, bool)
+	stop func()
+	done bool
 }
 
 func (r *engineRun) simulatorBody(i int) sched.Proc {
@@ -357,22 +376,24 @@ func (r *engineRun) simulatorBody(i int) sched.Proc {
 			xres:    make(map[int]any),
 			mutex2:  make(map[int]bool),
 			decided: make([]any, r.n),
+			threads: make([]simThread, r.n),
 		}
-		threads := make([]*coro.Thread, r.n)
-		for j := 0; j < r.n; j++ {
-			j := j
-			threads[j] = coro.New(func(y *coro.Yielder) {
-				api := &simAPI{r: r, sim: sim, e: e, y: y, i: i, j: j,
-					proposed: make(map[int]bool)}
-				r.cfg.Alg.Run(api)
-			})
+		apis := make([]simAPI, r.n)
+		for j := range sim.threads {
+			api := &apis[j]
+			*api = simAPI{r: r, sim: sim, i: i, j: j}
+			th := &sim.threads[j]
+			th.api = api
+			th.next, th.stop = iter.Pull(api.run)
 		}
-		group := coro.NewGroup(threads)
-		defer group.KillAll()
+		// A crash of this simulator (the sched sentinel raised by a step it
+		// takes for a thread) or a thread's foreign panic unwinds through
+		// here: stop reaps every thread still suspended.
+		defer sim.stopAll()
 
 		claimed := make([]bool, r.n)
 		for {
-			progressed := group.ResumeNext()
+			progressed := sim.resumeNext(e)
 			for j, dv := range sim.decided {
 				if dv == nil || claimed[j] {
 					continue
@@ -413,21 +434,144 @@ func (r *engineRun) simulatorBody(i int) sched.Proc {
 	}
 }
 
+// resumeNext resumes the next live thread in round-robin order (§2.4's fair
+// local execution) and reports whether any live thread remains afterwards.
+// When every thread is done it returns false without resuming anything.
+func (sim *simulatorState) resumeNext(e *sched.Env) bool {
+	n := len(sim.threads)
+	for k := 0; k < n; k++ {
+		idx := (sim.cursor + k) % n
+		th := &sim.threads[idx]
+		if th.done {
+			continue
+		}
+		sim.cursor = (idx + 1) % n
+		th.resume(e)
+		for j := range sim.threads {
+			if !sim.threads[j].done {
+				return true
+			}
+		}
+		return false
+	}
+	return false
+}
+
+// resume runs the thread to its next fairness yield or its end, performing
+// every shared step it requests on the simulator's Env in between. A foreign
+// panic in the thread re-raises here.
+func (th *simThread) resume(e *sched.Env) {
+	for {
+		if _, ok := th.next(); !ok {
+			th.done = true
+			return
+		}
+		if th.api.req == reqNone {
+			return
+		}
+		th.api.perform(e)
+	}
+}
+
+// stopAll reaps every thread: a never-started one without running it, a
+// suspended one by unwinding it with threadKill. It is safe during a panic
+// unwind.
+func (sim *simulatorState) stopAll() {
+	for j := range sim.threads {
+		if th := &sim.threads[j]; th.stop != nil {
+			th.stop()
+		}
+	}
+}
+
+// reqKind names the shared operation a suspended thread asks its simulator
+// to perform; reqNone is a plain fairness yield.
+type reqKind uint8
+
+const (
+	reqNone reqKind = iota
+	reqUpdate
+	reqScan
+	reqPropose
+	reqTryDecide
+)
+
+// threadKill unwinds a thread stopped while suspended; its run wrapper
+// recovers it.
+type threadKill struct{}
+
 // simAPI implements algorithms.API on behalf of simulated process j inside
-// simulator i. All shared steps are taken with the simulator's Env; control
-// returns to the simulator's scheduler via the coroutine yielder wherever
-// the simulated process may block.
+// simulator i. The thread takes no step itself: each shared operation is a
+// request (req plus its operands) the simulator performs with its Env
+// before resuming the thread with the result.
 type simAPI struct {
 	r        *engineRun
 	sim      *simulatorState
-	e        *sched.Env
-	y        *coro.Yielder
 	i        int // simulator index
 	j        int // simulated process index
 	proposed map[int]bool
+	yield    func(struct{}) bool
+
+	req  reqKind
+	row  memRow    // reqUpdate: the row to publish in MEM[i]
+	ag   Agreement // reqPropose, reqTryDecide: the target object
+	val  any       // reqPropose: the proposal; reqTryDecide: the decision
+	ok   bool      // reqTryDecide: whether the object has decided
+	view []memRow  // reqScan: MEM, valid until the thread's next request
 }
 
 var _ algorithms.API = (*simAPI)(nil)
+
+// run is the thread's coroutine body: the simulated algorithm.
+func (a *simAPI) run(yield func(struct{}) bool) {
+	a.yield = yield
+	defer func() {
+		if r := recover(); r != nil && r != (threadKill{}) {
+			panic(r)
+		}
+	}()
+	a.r.cfg.Alg.Run(a)
+}
+
+// suspend hands control back to the simulator with the pending request (or
+// none, for a fairness yield).
+func (a *simAPI) suspend(k reqKind) {
+	a.req = k
+	if !a.yield(struct{}{}) {
+		panic(threadKill{})
+	}
+}
+
+// perform executes the pending request on the simulator's Env.
+func (a *simAPI) perform(e *sched.Env) {
+	switch a.req {
+	case reqUpdate:
+		a.r.mem.Update(e, a.i, a.row)
+	case reqScan:
+		a.view = a.r.mem.ScanView(e)
+	case reqPropose:
+		a.ag.Propose(e, a.val)
+	case reqTryDecide:
+		a.val, a.ok = a.ag.TryDecide(e)
+	}
+	a.req = reqNone
+}
+
+// propose is ag.Propose(v), taken by the simulator.
+func (a *simAPI) propose(ag Agreement, v any) {
+	a.ag, a.val = ag, v
+	a.suspend(reqPropose)
+}
+
+// tryDecide is ag.TryDecide(), taken by the simulator.
+func (a *simAPI) tryDecide(ag Agreement) (any, bool) {
+	a.ag = ag
+	a.suspend(reqTryDecide)
+	return a.val, a.ok
+}
+
+// pause is the fairness yield between the simulator's threads (§2.4).
+func (a *simAPI) pause() { a.suspend(reqNone) }
 
 // ID implements algorithms.API.
 func (a *simAPI) ID() int { return a.j }
@@ -449,15 +593,17 @@ func (a *simAPI) Write(v any) {
 	}
 	snap := make(memRow, len(sim.memi))
 	copy(snap, sim.memi)
-	a.r.mem.Update(a.e, a.i, snap) // line 03
-	a.y.Yield()                    // fair interleaving of the simulator's threads (§2.4)
+	a.row = snap
+	a.suspend(reqUpdate) // line 03
+	a.pause()
 }
 
 // Snapshot implements sim_snapshot (Figure 3).
 func (a *simAPI) Snapshot() []any {
 	r, sim := a.r, a.sim
 
-	sm := r.mem.ScanView(a.e) // line 01; read before the thread's next step
+	a.suspend(reqScan) // line 01; the view is read before the next request
+	sm := a.view
 	input := make([]any, r.n)
 	for y := 0; y < r.n; y++ { // lines 02-03: adopt the most advanced write
 		best := memCell{}
@@ -475,11 +621,11 @@ func (a *simAPI) Snapshot() []any {
 	ag := r.snapAGAt(a.j, sim.snapSN[a.j])
 
 	a.enterMutex1() // line 05
-	ag.Propose(a.e, input)
+	a.propose(ag, input)
 	sim.mutex1 = false
 
 	for { // line 06
-		if v, ok := ag.TryDecide(a.e); ok { // line 07
+		if v, ok := a.tryDecide(ag); ok { // line 07
 			res, castOK := v.([]any)
 			if !castOK {
 				panic(fmt.Sprintf("bg: SAFE_AG[%d,%d] decided foreign value %T",
@@ -488,10 +634,10 @@ func (a *simAPI) Snapshot() []any {
 			if r.onSnapshot != nil {
 				r.onSnapshot(a.i, a.j, sim.snapSN[a.j], res)
 			}
-			a.y.Yield() // fair interleaving of the simulator's threads (§2.4)
+			a.pause()
 			return res
 		}
-		a.y.Yield()
+		a.pause()
 	}
 }
 
@@ -509,26 +655,29 @@ func (a *simAPI) XConsPropose(obj int, v any) any {
 	if a.proposed[obj] {
 		panic(fmt.Sprintf("bg: simulated process %d proposed twice to object %d", a.j, obj))
 	}
+	if a.proposed == nil {
+		a.proposed = make(map[int]bool)
+	}
 	a.proposed[obj] = true
 
 	a.enterMutex2(obj) // line 01
 	if _, known := sim.xres[obj]; !known {
 		ag := r.xconsAGAt(obj)
 		a.enterMutex1() // line 02
-		ag.Propose(a.e, v)
+		a.propose(ag, v)
 		sim.mutex1 = false
 		for { // line 03
-			if res, ok := ag.TryDecide(a.e); ok {
+			if res, ok := a.tryDecide(ag); ok {
 				sim.xres[obj] = res
 				break
 			}
-			a.y.Yield()
+			a.pause()
 		}
 	}
 	sim.mutex2[obj] = false // line 05
 	res := sim.xres[obj]
-	a.y.Yield() // fair interleaving of the simulator's threads (§2.4)
-	return res  // line 06
+	a.pause()
+	return res // line 06
 }
 
 // Decide implements algorithms.API: the simulated decision is recorded
@@ -550,12 +699,13 @@ func (a *simAPI) Decide(v any) {
 //
 // Fidelity note: at the paper's step granularity a thread can be preempted
 // inside sa_propose, so mutex-1 is what bounds a simulator crash to one
-// in-flight agreement. In this engine a propose never spans a yield (it is
-// atomic within one thread resume), so mutex-1 can never actually be
-// contended; it is kept to mirror Figure 3/4 line by line.
+// in-flight agreement. In this engine a propose never spans a fairness
+// yield (the simulator performs it and resumes the same thread), so mutex-1
+// can never actually be contended; it is kept to mirror Figure 3/4 line by
+// line.
 func (a *simAPI) enterMutex1() {
 	for a.sim.mutex1 {
-		a.y.Yield()
+		a.pause()
 	}
 	a.sim.mutex1 = true
 }
@@ -564,7 +714,7 @@ func (a *simAPI) enterMutex1() {
 // object.
 func (a *simAPI) enterMutex2(obj int) {
 	for a.sim.mutex2[obj] {
-		a.y.Yield()
+		a.pause()
 	}
 	a.sim.mutex2[obj] = true
 }

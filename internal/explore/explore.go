@@ -115,18 +115,19 @@ type Config struct {
 	// stream per-job progress without perturbing the walkers.
 	Progress *Progress
 	// Runtime, when non-nil, supplies and reclaims the walkers' sched
-	// runtimes instead of NewSessionWith/Close, letting long-running drivers
-	// lease warm sessions across explorations (goroutines stay parked
-	// between jobs) rather than respawning them per exploration.
+	// runtimes instead of NewSession/Close, letting long-running drivers
+	// lease warm sessions across explorations (their process coroutines
+	// stay suspended between jobs) rather than rebuilding them per
+	// exploration.
 	Runtime RuntimeSource
 }
 
-// RuntimeSource supplies the sched runtimes walkers replay on. Acquire is
-// called with the harness's process count and the protocol the walker needs
-// (direct coroutines, or the channel-based inline protocol for ForeignStep
-// harnesses); Release returns a runtime the walker is done with. Sources are
-// called from concurrent workers and must be safe for concurrent use; they
-// should discard sessions that report !Healthy().
+// RuntimeSource supplies the sched runtimes walkers and samplers replay on.
+// Acquire is called with the harness's process count; its direct argument
+// is always true (it once selected among scheduling protocols, and sched
+// now has one) and sources ignore it. Release returns a runtime the caller
+// is done with. Sources are called from concurrent workers and must be safe
+// for concurrent use; they should discard sessions that report !Healthy().
 type RuntimeSource interface {
 	Acquire(n int, direct bool) (*sched.Session, error)
 	Release(rt *sched.Session)
@@ -644,13 +645,9 @@ type Session struct {
 	// concrete identity affects the run's future or Check's verdict beyond
 	// process naming.
 	Canon func(v any) any
-	// ForeignStep declares that the bodies Make returns may take steps from
-	// helper goroutines (handing their Env to, e.g., internal/bg's simulator
-	// threads). The walker then replays on the channel-based inline protocol
-	// instead of the direct coroutine protocol — a coroutine can only be
-	// suspended from its own goroutine — and disables batched grants, which
-	// only the direct and rendezvous protocols execute. Purely a protocol
-	// selection: the visited tree is identical either way.
+	// Deprecated: ForeignStep once moved a harness whose bodies stepped from
+	// helper goroutines onto a channel-based scheduler protocol. Every body
+	// now steps on its own coroutine and the engines ignore the field.
 	ForeignStep bool
 }
 
@@ -734,13 +731,13 @@ func (w *walker) close() {
 	w.rt = nil
 }
 
-// acquire obtains a runtime for n processes on the given protocol, from the
-// configured RuntimeSource when one is set.
-func (w *walker) acquire(n int, direct bool) (*sched.Session, error) {
+// acquire obtains a runtime for n processes, from the configured
+// RuntimeSource when one is set.
+func (w *walker) acquire(n int) (*sched.Session, error) {
 	if w.cfg.Runtime != nil {
-		return w.cfg.Runtime.Acquire(n, direct)
+		return w.cfg.Runtime.Acquire(n, true)
 	}
-	return sched.NewSessionWith(n, sched.SessionOptions{Direct: direct})
+	return sched.NewSession(n)
 }
 
 // replay executes one run with the given decision prefix. Under dedup, only
@@ -752,10 +749,9 @@ func (w *walker) acquire(n int, direct bool) (*sched.Session, error) {
 // owned by the walker's runtime and valid until the next replay.
 func (w *walker) replay(prefix []int, cached bool) (*scripted, *sched.Result, error) {
 	bodies := w.session.Make()
-	direct := !w.session.ForeignStep
 	if w.adv == nil {
 		w.adv = newScripted(w.cfg)
-		w.adv.batch = direct && !w.cfg.NoBatch
+		w.adv.batch = !w.cfg.NoBatch
 		// The dedup wiring is walker-constant, so the pooled adversary is
 		// wired once here rather than per run.
 		w.adv.setDedup(w.store, w.session.Fingerprint, w.cfg.Symmetry, w.session.Canon)
@@ -766,7 +762,7 @@ func (w *walker) replay(prefix []int, cached bool) (*scripted, *sched.Result, er
 	var err error
 	if w.rt == nil || w.rt.N() != len(bodies) {
 		w.close()
-		w.rt, err = w.acquire(len(bodies), direct)
+		w.rt, err = w.acquire(len(bodies))
 	}
 	if err == nil {
 		res, err = w.rt.Run(sched.Config{Adversary: adv, MaxSteps: w.cfg.MaxSteps, Observe: w.store != nil}, bodies)

@@ -169,7 +169,7 @@ type countingRuntime struct {
 
 func (c *countingRuntime) Acquire(n int, direct bool) (*sched.Session, error) {
 	c.acquired.Add(1)
-	return sched.NewSessionWith(n, sched.SessionOptions{Direct: direct})
+	return sched.NewSession(n)
 }
 
 func (c *countingRuntime) Release(rt *sched.Session) {

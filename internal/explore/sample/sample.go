@@ -103,7 +103,7 @@ type Config struct {
 	// progress stream polls.
 	Progress *Progress
 	// Runtime, when non-nil, supplies and reclaims the workers' sched
-	// runtimes instead of NewSessionWith/Close, letting long-running drivers
+	// runtimes instead of NewSession/Close, letting long-running drivers
 	// lease warm sessions across jobs.
 	Runtime explore.RuntimeSource
 }
@@ -320,16 +320,12 @@ func (w *worker) close() {
 }
 
 // acquire obtains a runtime for n processes, from the configured
-// RuntimeSource when one is set. Sampling strategies decide step by step (no
-// batched grants), but the direct protocol's cheap token handoff pays off
-// all the same; bodies stepping from helper goroutines need the
-// channel-based protocol.
+// RuntimeSource when one is set.
 func (w *worker) acquire(n int) (*sched.Session, error) {
-	direct := !w.session.ForeignStep
 	if w.cfg.Runtime != nil {
-		return w.cfg.Runtime.Acquire(n, direct)
+		return w.cfg.Runtime.Acquire(n, true)
 	}
-	return sched.NewSessionWith(n, sched.SessionOptions{Direct: direct})
+	return sched.NewSession(n)
 }
 
 // sampleOne draws, executes and checks sample index i. The run's pooled

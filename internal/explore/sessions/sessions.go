@@ -246,10 +246,6 @@ func BG(n, t int) (func() explore.Session, error) {
 				}
 				return nil
 			},
-			// The engine's coro.Thread goroutines call Env.StepL on the
-			// simulator bodies' behalf: steps arrive from helper goroutines,
-			// so the walker must stay on a channel-based protocol.
-			ForeignStep: true,
 		}
 	}, nil
 }

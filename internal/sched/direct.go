@@ -1,11 +1,8 @@
 package sched
 
-import (
-	"fmt"
-	"iter"
-)
+import "fmt"
 
-// Direct scheduling protocol: every process runs as a coroutine (iter.Pull)
+// The coroutine protocol: every process runs as a coroutine (iter.Pull)
 // resumed by the goroutine that called Session.Run, so the scheduling loop
 // never leaves that goroutine and a token handoff is a coroutine switch —
 // roughly a quarter of the cost of waking a parked goroutine through a
@@ -16,41 +13,19 @@ import (
 // run doubles as the process's start grant. Crashes are synchronous — the
 // dispatcher sets the crash flag and resumes the victim, StepL re-raises the
 // crash sentinel, the wrapper records the terminal state, and the coroutine
-// suspends back at the run boundary before the resume returns — so none of
-// the inline protocol's detach/await-unwind machinery is needed: the
-// dispatcher can never be a process, and control flow is a plain loop.
+// suspends back at the run boundary before the resume returns — so the
+// dispatcher is never a process, and control flow is a plain loop.
 //
 // Batched grants are where the protocol earns its keep: an adopted
 // Decision.Plan (and an active Decision.Sprint) lets StepL consume
 // consecutive self-grants entirely inside the parked process — bookkeeping
 // only, no switch — and other processes' planned grants cost one switch and
 // zero adversary consultations.
-//
-// The constraint that picks the protocol: a coroutine can only be suspended
-// from its own goroutine, so bodies must take their steps on their own
-// execution context. Harnesses whose bodies hand the Env to helper
-// goroutines (internal/bg's simulator threads) must use a channel protocol;
-// explore.Session.ForeignStep declares exactly that.
 
-// startCoro builds the persistent per-process coroutine. The coroutine body
-// does not start until the first resume, which under this protocol is the
-// process's first (start) grant.
-func (s *Session) startCoro(e *Env) (func() (struct{}, bool), func()) {
-	return iter.Pull(func(yield func(struct{}) bool) {
-		e.yield = yield
-		for {
-			s.directRunBody(e)
-			if !yield(struct{}{}) {
-				return // session closed
-			}
-		}
-	})
-}
-
-// directRunBody executes one run's body, recording the terminal state the
-// channel protocols' wrapper defers record: crash sentinels mark the process
-// crashed, foreign panics fail the run (the session stays usable).
-func (s *Session) directRunBody(e *Env) {
+// runBody executes one run's body and records its terminal state: crash
+// sentinels mark the process crashed, foreign panics fail the run (the
+// session stays usable).
+func (s *Session) runBody(e *Env) {
 	defer func() {
 		r := recover()
 		s.state[e.id] = stateDone
@@ -70,14 +45,14 @@ func (s *Session) directRunBody(e *Env) {
 			} else {
 				s.statuses[e.id] = StatusHalted
 			}
-			s.dFail = fmt.Errorf("sched: process %d panicked: %v", e.id, r)
+			s.fail = fmt.Errorf("sched: process %d panicked: %v", e.id, r)
 		}
 	}()
 	s.bodies[e.id](e)
 }
 
-// runDirect executes one run under the direct protocol.
-func (s *Session) runDirect(bodies []Proc) (res *Result, err error) {
+// run executes one run.
+func (s *Session) run(bodies []Proc) (res *Result, err error) {
 	// One function-level recover stands in for a per-consultation
 	// defer/recover around every adversary call: the inNext flag scopes it to
 	// panics raised inside Adversary.Next, so dispatcher bugs still crash.
@@ -87,14 +62,14 @@ func (s *Session) runDirect(bodies []Proc) (res *Result, err error) {
 				panic(r)
 			}
 			s.inNext = false
-			s.teardownDirect()
+			s.teardown()
 			res, err = nil, fmt.Errorf("sched: adversary panicked: %v", r)
 		}
 	}()
 	copy(s.bodies, bodies)
-	// The prologue barrier of the channel protocols is a no-op here: every
-	// process starts parked on the synthetic start label, granted when the
-	// adversary first schedules it.
+	// Every process starts parked on the synthetic start label, granted when
+	// the adversary first schedules it, so even body prologues execute one
+	// at a time under the scheduler token.
 	for i := 0; i < s.n; i++ {
 		s.state[i] = stateParked
 		s.pending[i] = LabelStart
@@ -119,11 +94,11 @@ func (s *Session) runDirect(bodies []Proc) (res *Result, err error) {
 			s.planIdx++
 			if g.Crash {
 				if int(g.ID) >= 0 && int(g.ID) < s.n && s.state[g.ID] == stateParked {
-					s.directCrash(g.ID)
+					s.crash(g.ID)
 					if s.cfg.MaxCrashes > 0 && s.crashes > s.cfg.MaxCrashes {
 						err := fmt.Errorf("sched: adversary crashed %d processes, limit %d",
 							s.crashes, s.cfg.MaxCrashes)
-						s.teardownDirect()
+						s.teardown()
 						return nil, err
 					}
 				}
@@ -131,16 +106,16 @@ func (s *Session) runDirect(bodies []Proc) (res *Result, err error) {
 			}
 			if s.steps >= s.cfg.MaxSteps {
 				budgetExhausted = true
-				s.teardownDirect()
+				s.teardown()
 				break
 			}
 			if int(g.ID) < 0 || int(g.ID) >= s.n || s.state[g.ID] != stateParked {
 				err := fmt.Errorf("sched: planned grant for process %d, which is not parked", g.ID)
-				s.teardownDirect()
+				s.teardown()
 				return nil, err
 			}
 			s.grantBookkeeping(g.ID)
-			if err := s.resumeDirect(g.ID); err != nil {
+			if err := s.resume(g.ID); err != nil {
 				return nil, err
 			}
 			continue
@@ -152,7 +127,7 @@ func (s *Session) runDirect(bodies []Proc) (res *Result, err error) {
 			p := s.sprint
 			if s.state[p] == stateParked {
 				budgetExhausted = true
-				s.teardownDirect()
+				s.teardown()
 				break
 			}
 			s.sprint = -1
@@ -164,7 +139,7 @@ func (s *Session) runDirect(bodies []Proc) (res *Result, err error) {
 		}
 		if s.steps >= s.cfg.MaxSteps {
 			budgetExhausted = true
-			s.teardownDirect()
+			s.teardown()
 			break
 		}
 		view.Step = s.steps
@@ -176,11 +151,11 @@ func (s *Session) runDirect(bodies []Proc) (res *Result, err error) {
 			if int(c) < 0 || int(c) >= s.n || s.state[c] != stateParked {
 				continue
 			}
-			s.directCrash(c)
+			s.crash(c)
 			if s.cfg.MaxCrashes > 0 && s.crashes > s.cfg.MaxCrashes {
 				err := fmt.Errorf("sched: adversary crashed %d processes, limit %d",
 					s.crashes, s.cfg.MaxCrashes)
-				s.teardownDirect()
+				s.teardown()
 				return nil, err
 			}
 		}
@@ -203,39 +178,39 @@ func (s *Session) runDirect(bodies []Proc) (res *Result, err error) {
 			s.sprint = run
 		}
 		s.grantBookkeeping(run)
-		if err := s.resumeDirect(run); err != nil {
+		if err := s.resume(run); err != nil {
 			return nil, err
 		}
 	}
 	return s.collect(budgetExhausted), nil
 }
 
-// resumeDirect switches to process id's coroutine and surfaces any foreign
+// resume switches to process id's coroutine and surfaces any foreign
 // panic its body raised as a run error (after tearing the run down).
-func (s *Session) resumeDirect(id ProcID) error {
-	s.dNext[id]()
-	if s.dFail != nil {
-		err := s.dFail
-		s.teardownDirect()
+func (s *Session) resume(id ProcID) error {
+	s.next[id]()
+	if s.fail != nil {
+		err := s.fail
+		s.teardown()
 		return err
 	}
 	return nil
 }
 
-// directCrash crashes the parked process id. A process that has started its
+// crash crashes the parked process id. A process that has started its
 // body (it was granted at least once this run, so lastLabel is set) is
 // resumed with the crash flag and unwinds to the run boundary before the
 // call returns; a process still parked on its start grant has executed
 // nothing — there is no stack to unwind — and its terminal state is recorded
 // directly, with identical observables.
-func (s *Session) directCrash(id ProcID) {
+func (s *Session) crash(id ProcID) {
 	started := s.lastLabel[id] != LabelNone
 	s.lastLabel[id] = s.pending[id]
 	s.crashed[id] = true
 	s.crashes++
 	if started {
 		s.envs[id].crashNext = true
-		s.dNext[id]()
+		s.next[id]()
 		return
 	}
 	s.state[id] = stateDone
@@ -243,10 +218,10 @@ func (s *Session) directCrash(id ProcID) {
 	s.statuses[id] = StatusCrashed
 }
 
-// teardownDirect ends the run early: every parked process is reaped as
+// teardown ends the run early: every parked process is reaped as
 // StatusBlocked (started ones are crash-unwound to the run boundary), and
 // the batched-grant state is dropped.
-func (s *Session) teardownDirect() {
+func (s *Session) teardown() {
 	s.plan = s.plan[:0]
 	s.planIdx = 0
 	s.sprint = -1
@@ -259,12 +234,12 @@ func (s *Session) teardownDirect() {
 		s.lastLabel[id] = s.pending[id]
 		if started {
 			s.envs[id].crashNext = true
-			s.dNext[id]()
+			s.next[id]()
 		} else {
 			s.state[id] = stateDone
 			s.pending[id] = LabelNone
 		}
 		s.statuses[id] = StatusBlocked
 	}
-	s.dFail = nil
+	s.fail = nil
 }

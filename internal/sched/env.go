@@ -7,22 +7,17 @@ import "fmt"
 // receive it as an explicit argument so each operation can mark its
 // linearization point.
 //
-// Env methods must only be called while the owning process holds the
-// scheduler token, i.e. from the process body or from code (such as a
-// coroutine thread) executing strictly on its behalf.
+// Env methods must only be called from the owning process's body, on its
+// own coroutine: a sub-computation the body runs as a nested coroutine
+// hands its steps back to the body instead of calling the Env itself.
 type Env struct {
-	s     *Session
-	id    ProcID
-	n     int
-	grant chan grantMsg
+	s  *Session
+	id ProcID
+	n  int
 
-	// atStart marks the synthetic prologue park of the current run; under
-	// the inline protocol it selects the prologue-barrier path of StepL.
-	atStart bool
-
-	// Direct-protocol state: yield suspends this process's coroutine back to
-	// the dispatching goroutine; crashNext, set by the dispatcher before a
-	// crash-delivering resume, makes StepL re-raise the crash sentinel.
+	// yield suspends this process's coroutine back to the dispatching
+	// goroutine; crashNext, set by the dispatcher before a crash-delivering
+	// resume, makes StepL re-raise the crash sentinel.
 	yield     func(struct{}) bool
 	crashNext bool
 
@@ -54,45 +49,32 @@ func (e *Env) Step(label string) {
 // StepL is Step for a pre-interned label: the allocation-free hot path.
 func (e *Env) StepL(label Label) {
 	s := e.s
-	if s.direct {
-		// Batched-grant fast path: a plan whose next grant is this process,
-		// or an active sprint on it, is consumed in place — the grant
-		// bookkeeping inlined, no park/unpark transition, no coroutine
-		// switch. The budget check defers to the dispatcher, which owns
-		// teardown.
-		if i := s.planIdx; i < len(s.plan) {
-			if g := s.plan[i]; !g.Crash && g.ID == e.id && s.steps < s.cfg.MaxSteps {
-				s.planIdx = i + 1
-				s.selfGrant(e.id, label)
-				return
-			}
-		} else if s.sprint == e.id && s.steps < s.cfg.MaxSteps {
-			if s.sprintObs != nil {
-				s.sprintObs.SprintStep(e.id, label)
-			}
+	// Batched-grant fast path: a plan whose next grant is this process, or
+	// an active sprint on it, is consumed in place — the grant bookkeeping
+	// inlined, no park/unpark transition, no coroutine switch. The budget
+	// check defers to the dispatcher, which owns teardown.
+	if i := s.planIdx; i < len(s.plan) {
+		if g := s.plan[i]; !g.Crash && g.ID == e.id && s.steps < s.cfg.MaxSteps {
+			s.planIdx = i + 1
 			s.selfGrant(e.id, label)
 			return
 		}
-		s.pending[e.id] = label
-		s.state[e.id] = stateParked
-		if !e.yield(struct{}{}) {
-			// The session was closed while we were parked mid-run (a
-			// contract violation, but don't run the body further): unwind.
-			panic(crashSentinel{id: e.id})
+	} else if s.sprint == e.id && s.steps < s.cfg.MaxSteps {
+		if s.sprintObs != nil {
+			s.sprintObs.SprintStep(e.id, label)
 		}
-		if e.crashNext {
-			e.crashNext = false
-			panic(crashSentinel{id: e.id})
-		}
+		s.selfGrant(e.id, label)
 		return
 	}
-	if s.inline {
-		s.inlinePark(e, label)
-		return
+	s.pending[e.id] = label
+	s.state[e.id] = stateParked
+	if !e.yield(struct{}{}) {
+		// The session was closed while we were parked mid-run (a contract
+		// violation, but don't run the body further): unwind.
+		panic(crashSentinel{id: e.id})
 	}
-	s.events <- event{id: e.id, kind: evPark, label: label}
-	g := <-e.grant
-	if g.crash {
+	if e.crashNext {
+		e.crashNext = false
 		panic(crashSentinel{id: e.id})
 	}
 }

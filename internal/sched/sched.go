@@ -7,10 +7,12 @@
 // steps, of which up to t may crash at arbitrary points chosen by an
 // adversary.
 //
-// Every simulated process runs on its own goroutine, but exactly one goroutine
-// executes at any time: a token is passed scheduler -> process -> scheduler
-// through channels, so runs are fully deterministic given the adversary (and
-// its seed). Shared objects mark their linearization points by calling
+// Every simulated process runs as a coroutine (iter.Pull) on the goroutine
+// that called Run, and exactly one of them executes at any time: the token
+// passes scheduler -> process -> scheduler as coroutine switches, so runs
+// are fully deterministic given the adversary (and its seed). No goroutine
+// is started per process, and a body never takes a step off its own
+// coroutine. Shared objects mark their linearization points by calling
 // Env.Step(label) — or its allocation-free form Env.StepL with a
 // pre-interned Label; everything a process executes between two Step calls is
 // a single atomic step of the model. The adversary observes the label each
@@ -19,8 +21,8 @@
 // paper's lemmas require.
 //
 // Two entry points share the same machinery: Run executes one run on a fresh
-// runtime, while a Session keeps its process goroutines parked between runs
-// and is reset per run — the zero-respawn fast path replay engines
+// runtime, while a Session keeps its process coroutines suspended between
+// runs and is reset per run — the fast path replay engines
 // (internal/explore) are built on.
 //
 // Crashes are delivered as a private panic sentinel raised from inside Step;
@@ -181,25 +183,6 @@ func (r *Result) DistinctDecided() int {
 		}
 	}
 	return len(seen)
-}
-
-type eventKind int
-
-const (
-	evPark eventKind = iota + 1
-	evDone
-)
-
-type event struct {
-	id      ProcID
-	kind    eventKind
-	label   Label
-	crashed bool
-	failure any // non-nil when the body panicked with a genuine error
-}
-
-type grantMsg struct {
-	crash bool
 }
 
 // crashSentinel is the private panic value used to unwind crashed processes.

@@ -3,15 +3,16 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"iter"
 )
 
-// Session is a reusable scheduler runtime: the n process goroutines are
-// spawned once, park between runs, and are reset through a lightweight
-// protocol instead of being recreated, so back-to-back runs pay no goroutine
-// spawn, no channel construction and no per-run buffer allocation. Replay
-// engines (internal/explore) execute millions of short runs; respawning was
-// their dominant cost.
+// Session is a reusable scheduler runtime. Every process runs as a
+// coroutine (iter.Pull) resumed by the goroutine that called Run: a token
+// handoff is a coroutine switch, not a goroutine wakeup, and the session
+// starts no goroutine of its own. The coroutines are created once, suspend
+// at the run boundary between runs and are reset per run, so back-to-back
+// runs pay no coroutine creation and no per-run buffer allocation. Replay
+// engines (internal/explore) execute millions of short runs on one Session.
 //
 // The lifecycle is
 //
@@ -25,62 +26,36 @@ import (
 // state, so a Session replaying the same adversary decisions produces a
 // byte-identical trace and identical outcomes.
 //
-// Three scheduling protocols implement the same observable semantics:
-//
-//   - The direct protocol (SessionOptions.Direct) runs every process as a
-//     coroutine (iter.Pull) pulled by the goroutine that called Run: a token
-//     handoff is a coroutine switch, not a goroutine wakeup, and batched
-//     grants (Decision.Plan, Decision.Sprint) consume consecutive self-grants
-//     without any switch at all. It is the fastest protocol and the one
-//     replay engines use. Its one constraint: processes must take their
-//     steps on their own execution context — a body that hands its Env to a
-//     helper goroutine (as internal/bg's simulator threads do) must use a
-//     channel protocol instead, because a coroutine can only be suspended
-//     from its own goroutine.
-//
-//   - The default inline protocol runs the scheduling loop on whichever
-//     process goroutine holds the token: a process that parks consults the
-//     adversary itself and, when the adversary grants it again, continues
-//     without any context switch. Goroutine switches happen only when the
-//     token actually moves between processes, which roughly halves (and for
-//     run-heavy schedules far more than halves) the switch count of the
-//     central protocol. Steps may be taken from helper goroutines, since
-//     every handoff is a channel operation.
-//
-//   - The rendezvous protocol (SessionOptions.Rendezvous) is the original
-//     central-scheduler design: a dedicated coordinator goroutine grants
-//     every step over unbuffered channels. It is kept as the simple
-//     reference implementation — the protocol-equivalence tests replay all
-//     three and require byte-identical traces — and as the faithful baseline
-//     for the session-reuse benchmarks.
+// Batched grants (Decision.Plan, Decision.Sprint) let a process consume
+// consecutive self-grants inside StepL without any switch at all. The one
+// constraint of the coroutine protocol: a process takes its steps on its own
+// execution context. A body that runs sub-computations of its own (as
+// internal/bg's simulators run their simulated threads) nests them as
+// coroutines that hand their steps back to the body, never the Env.
 //
 // The returned Result and its Outcomes and Trace slices are owned by the
 // Session and overwritten by the next Run; callers that retain them across
 // runs must copy. Sessions are not safe for concurrent use — one Run at a
 // time — and Close must only be called between runs.
 type Session struct {
-	n      int
-	inline bool
-	direct bool
-	envs   []*Env
-	events chan event
-	begin  []chan Proc
+	n    int
+	envs []*Env
 
-	// Direct-protocol state: the per-process coroutines (resume/stop pairs
-	// from iter.Pull), the active run's bodies, and the run error a process
-	// wrapper recorded when its body panicked with a foreign value.
+	// The per-process coroutines (resume/stop pairs from iter.Pull), the
+	// active run's bodies, and the run error a process wrapper recorded when
+	// its body panicked with a foreign value.
 	bodies []Proc
-	dNext  []func() (struct{}, bool)
-	dStop  []func()
-	dFail  error
-	// inNext is set across direct-protocol Adversary.Next calls so
-	// runDirect's single deferred recover can attribute a panic to the
-	// adversary (per-consultation defers were measurably hot).
+	next   []func() (struct{}, bool)
+	stop   []func()
+	fail   error
+	// inNext is set across Adversary.Next calls so run's single deferred
+	// recover can attribute a panic to the adversary (per-consultation
+	// defers were measurably hot).
 	inNext bool
 
-	// Batched-grant state (direct and rendezvous protocols): the adopted
-	// Decision.Plan with its consumption cursor, the process a Decision.Sprint
-	// keeps granting, and the adversary's optional SprintObserver side.
+	// Batched-grant state: the adopted Decision.Plan with its consumption
+	// cursor, the process a Decision.Sprint keeps granting, and the
+	// adversary's optional SprintObserver side.
 	plan      []Grant
 	planIdx   int
 	sprint    ProcID
@@ -101,97 +76,42 @@ type Session struct {
 	crashes int
 	trace   []TraceEntry
 
-	// Inline-protocol state. started is the prologue barrier: the last
-	// process to park at its start label becomes the run's first dispatcher.
-	// runDone carries the end-of-run signal to the goroutine blocked in Run.
-	started     atomic.Int32
-	runDone     chan struct{}
-	awaitUnwind ProcID // victim whose crash-unwind ack the dispatcher awaits
-	detachSelf  ProcID // goroutine that must unwind silently (state pre-recorded)
-	round       roundState
-	ending      bool // the run is being torn down; set before the final unwind
-	endBudget   bool
-	endErr      error
-
 	// res is the pooled Result handed back by Run; its slices alias the
 	// session's buffers.
 	res      Result
 	outcomes []Outcome
 
 	// runnableBuf backs the View.Runnable slice handed to the adversary each
-	// round; roundCrashBuf backs the in-flight round's crash list. Reusing
-	// them keeps the scheduling loop allocation-free; the View contract
-	// already limits the slice's lifetime to the Next call.
-	runnableBuf   []ProcID
-	roundCrashBuf []ProcID
+	// round. Reusing it keeps the scheduling loop allocation-free; the View
+	// contract already limits the slice's lifetime to the Next call.
+	runnableBuf []ProcID
 
 	closed bool
-	broken bool // a runtime invariant was violated; the Session is unusable
-}
-
-// roundState is one adversary decision in flight. It lives on the Session
-// (not a stack) because delivering a crash to the dispatching process itself
-// unwinds the dispatcher's stack: the unwound goroutine resumes the round
-// from this state.
-type roundState struct {
-	active   bool
-	hadCrash bool
-	crash    []ProcID
-	crashIdx int
-	run      ProcID
-	limitHit bool // the self-crash just delivered exceeded MaxCrashes
 }
 
 // ErrClosed is returned by Session.Run after Close.
 var ErrClosed = errors.New("sched: session closed")
 
-// ErrBroken is returned by Session.Run after a run violated a runtime
-// invariant (which should be impossible); the goroutine state can no longer
-// be trusted, so the Session refuses further runs.
-var ErrBroken = errors.New("sched: session broken by invariant violation")
-
-// SessionOptions tunes a Session's scheduling protocol without changing its
-// observable behavior: runs are deterministic functions of (bodies, Config)
-// under every option combination, and the protocol-equivalence tests assert
-// byte-identical traces.
+// SessionOptions once selected among several scheduling protocols. Only the
+// coroutine protocol remains, so the options have no effect.
 type SessionOptions struct {
-	// Rendezvous selects the original central-scheduler protocol: a
-	// coordinator goroutine grants every step over unbuffered channels, two
-	// goroutine switches per step. The default inline protocol dispatches on
-	// the process goroutines themselves and switches only when the token
-	// moves. Rendezvous mode is kept as the reference implementation for
-	// the protocol-equivalence differential tests.
-	Rendezvous bool
-
-	// Direct selects the coroutine protocol: processes run as iter.Pull
-	// coroutines resumed by Run's goroutine, so a token handoff is a
-	// coroutine switch and batched grants need no switch at all. Requires
-	// bodies that take their steps on their own execution context (no
-	// handing the Env to helper goroutines). Mutually exclusive with
-	// Rendezvous.
+	// Deprecated: every session runs the coroutine protocol; Direct is
+	// ignored.
 	Direct bool
 }
 
-// NewSession spawns the n process goroutines of a reusable runtime. Each
-// goroutine parks immediately and waits for Run to hand it a body.
+// NewSession builds the n process coroutines of a reusable runtime. Each
+// coroutine starts on the run's first grant of its process.
 func NewSession(n int) (*Session, error) {
-	return NewSessionWith(n, SessionOptions{})
-}
-
-// NewSessionWith is NewSession with explicit options.
-func NewSessionWith(n int, opts SessionOptions) (*Session, error) {
 	if n <= 0 {
 		return nil, ErrNoProcs
 	}
-	if opts.Direct && opts.Rendezvous {
-		return nil, errors.New("sched: SessionOptions.Direct and Rendezvous are mutually exclusive")
-	}
 	s := &Session{
-		n:       n,
-		inline:  !opts.Rendezvous && !opts.Direct,
-		direct:  opts.Direct,
-		runDone: make(chan struct{}, 1),
-
+		n:         n,
+		envs:      make([]*Env, n),
+		bodies:    make([]Proc, n),
+		next:      make([]func() (struct{}, bool), n),
+		stop:      make([]func(), n),
 		state:     make([]procState, n),
 		statuses:  make([]Status, n),
 		pending:   make([]Label, n),
@@ -199,111 +119,51 @@ func NewSessionWith(n int, opts SessionOptions) (*Session, error) {
 		lastLabel: make([]Label, n),
 		crashed:   make([]bool, n),
 		obs:       make([]FP, n),
+		sprint:    -1,
 
-		awaitUnwind: -1,
-		detachSelf:  -1,
-		sprint:      -1,
-
-		outcomes:      make([]Outcome, n),
-		runnableBuf:   make([]ProcID, 0, n),
-		roundCrashBuf: make([]ProcID, 0, n),
+		outcomes:    make([]Outcome, n),
+		runnableBuf: make([]ProcID, 0, n),
 	}
-	s.envs = make([]*Env, n)
-	if opts.Direct {
-		s.bodies = make([]Proc, n)
-		s.dNext = make([]func() (struct{}, bool), n)
-		s.dStop = make([]func(), n)
-		for i := range s.envs {
-			s.envs[i] = &Env{s: s, id: ProcID(i), n: n}
-			s.dNext[i], s.dStop[i] = s.startCoro(s.envs[i])
-		}
-		return s, nil
-	}
-	buf := 1
-	if opts.Rendezvous {
-		buf = 0
-	}
-	s.events = make(chan event)
-	s.begin = make([]chan Proc, n)
 	for i := range s.envs {
-		// Under the inline protocol the channels are buffered: the protocol
-		// keeps at most one in-flight message per channel (a grant is always
-		// consumed before the granted process produces its next decision, a
-		// begin before the run's first park), and the buffer posts the token
-		// without a rendezvous wait.
-		s.envs[i] = &Env{
-			s:     s,
-			id:    ProcID(i),
-			n:     n,
-			grant: make(chan grantMsg, buf),
-		}
-		s.begin[i] = make(chan Proc, buf)
-		go s.loop(s.envs[i], s.begin[i])
+		e := &Env{s: s, id: ProcID(i), n: n}
+		s.envs[i] = e
+		s.next[i], s.stop[i] = iter.Pull(func(yield func(struct{}) bool) {
+			e.yield = yield
+			for {
+				s.runBody(e)
+				if !yield(struct{}{}) {
+					return // session closed
+				}
+			}
+		})
 	}
 	return s, nil
+}
+
+// NewSessionWith is NewSession; opts has no effect.
+//
+// Deprecated: use NewSession.
+func NewSessionWith(n int, opts SessionOptions) (*Session, error) {
+	return NewSession(n)
 }
 
 // N returns the fixed process count of the session.
 func (s *Session) N() int { return s.n }
 
-// loop is the persistent per-process goroutine: it receives one body per
-// run, wraps it (park at the synthetic start step, recover the crash
-// sentinel), and parks again for the next run. It exits when Close closes
-// the begin channel.
-func (s *Session) loop(e *Env, begin <-chan Proc) {
-	for body := range begin {
-		if s.inline {
-			s.inlineRunBody(e, body)
-		} else {
-			s.centralRunBody(e, body)
-		}
-	}
-}
+// Healthy reports whether the session can still run, i.e. it is not
+// closed. Session pools (the exploredd daemon's warm-lease source) use it
+// to decide between reusing a returned session and discarding it.
+func (s *Session) Healthy() bool { return !s.closed }
 
-// centralRunBody executes one run's body under the rendezvous protocol:
-// every lifecycle event is reported to the coordinator over the events
-// channel.
-func (s *Session) centralRunBody(e *Env, body Proc) {
-	defer func() {
-		r := recover()
-		switch {
-		case r == nil:
-			s.events <- event{id: e.id, kind: evDone}
-		case IsCrash(r):
-			s.events <- event{id: e.id, kind: evDone, crashed: true}
-		default:
-			s.events <- event{id: e.id, kind: evDone, failure: r}
-		}
-	}()
-	// Park at a synthetic "(start)" step before running the body, so even
-	// body prologues execute one at a time under the scheduler token: the
-	// single-runner invariant holds from the first instruction.
-	e.atStart = true
-	e.StepL(LabelStart)
-	body(e)
-}
-
-// Healthy reports whether the session can still run: it is neither closed
-// nor broken by a runtime invariant violation. Session pools (the exploredd
-// daemon's warm-lease source) use it to decide between reusing a returned
-// session and discarding it.
-func (s *Session) Healthy() bool { return !s.closed && !s.broken }
-
-// Close terminates the session's goroutines. It is idempotent. Close must
-// not be called while a Run is in progress.
+// Close ends the session's coroutines. It is idempotent. Close must not be
+// called while a Run is in progress.
 func (s *Session) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	if s.direct {
-		for _, stop := range s.dStop {
-			stop()
-		}
-		return
-	}
-	for _, ch := range s.begin {
-		close(ch)
+	for _, stop := range s.stop {
+		stop()
 	}
 }
 
@@ -311,19 +171,14 @@ func (s *Session) Close() {
 // indistinguishable from a fresh runtime's.
 func (s *Session) reset(cfg Config, adv Adversary) {
 	// obs is only ever written under cfg.Observe (see Observe), so when the
-	// previous run didn't observe, the slots are already zero. Under the
-	// direct protocol, state/pending are rewritten by runDirect's prologue
-	// and every process's status is terminally written each run (body return,
-	// crash, or teardown), so those clears are skipped too.
+	// previous run didn't observe, the slots are already zero. state and
+	// pending are rewritten by run's prologue and every process's status is
+	// terminally written each run (body return, crash, or teardown), so
+	// those are not cleared either.
 	clearObs := s.cfg.Observe
 	s.cfg = cfg
 	s.adv = adv
 	for i := 0; i < s.n; i++ {
-		if !s.direct {
-			s.state[i] = 0
-			s.statuses[i] = 0
-			s.pending[i] = LabelNone
-		}
 		s.stepsOf[i] = 0
 		s.lastLabel[i] = LabelNone
 		s.crashed[i] = false
@@ -338,18 +193,11 @@ func (s *Session) reset(cfg Config, adv Adversary) {
 	s.steps = 0
 	s.crashes = 0
 	s.trace = s.trace[:0]
-	s.started.Store(0)
-	s.awaitUnwind = -1
-	s.detachSelf = -1
-	s.round = roundState{}
-	s.ending = false
-	s.endBudget = false
-	s.endErr = nil
 	s.plan = s.plan[:0]
 	s.planIdx = 0
 	s.sprint = -1
 	s.sprintObs, _ = adv.(SprintObserver)
-	s.dFail = nil
+	s.fail = nil
 }
 
 // Run executes one run of the given bodies (one per session process) under
@@ -361,8 +209,6 @@ func (s *Session) Run(cfg Config, bodies []Proc) (*Result, error) {
 	switch {
 	case s.closed:
 		return nil, ErrClosed
-	case s.broken:
-		return nil, ErrBroken
 	case len(bodies) != s.n:
 		return nil, fmt.Errorf("sched: session has %d processes, got %d bodies", s.n, len(bodies))
 	}
@@ -379,13 +225,7 @@ func (s *Session) Run(cfg Config, bodies []Proc) (*Result, error) {
 		adv = NewRandom(cfg.Seed)
 	}
 	s.reset(cfg, adv)
-	if s.direct {
-		return s.runDirect(bodies)
-	}
-	if s.inline {
-		return s.runInline(bodies)
-	}
-	return s.runCentral(bodies)
+	return s.run(bodies)
 }
 
 // collect assembles the pooled Result after a completed run.
@@ -409,176 +249,6 @@ func (s *Session) collect(budgetExhausted bool) *Result {
 		}
 	}
 	return res
-}
-
-// ---------------------------------------------------------------------------
-// Central (rendezvous) protocol: the reference implementation.
-
-// runCentral executes one run with the scheduling loop on the calling
-// goroutine, granting every step over the events/grant rendezvous.
-func (s *Session) runCentral(bodies []Proc) (*Result, error) {
-	// Kick every goroutine with its body for this run. Each parks at the
-	// synthetic start step before touching the body, so the first n events
-	// are exactly the n start parks.
-	for i, body := range bodies {
-		s.begin[i] <- body
-	}
-	for parked := 0; parked < s.n; parked++ {
-		s.consume(<-s.events)
-	}
-
-	view := View{
-		Pending: s.pending,
-		Crashed: s.crashed,
-		StepsOf: s.stepsOf,
-	}
-	if s.cfg.Observe {
-		view.Obs = s.obs
-	}
-
-	budgetExhausted := false
-	for {
-		// Pre-committed grants (Decision.Plan) execute before the adversary
-		// is consulted again, each behind the same budget check a consulted
-		// round would make.
-		if s.planIdx < len(s.plan) {
-			g := s.plan[s.planIdx]
-			s.planIdx++
-			if g.Crash {
-				if int(g.ID) >= 0 && int(g.ID) < s.n && s.state[g.ID] == stateParked {
-					s.crash(g.ID)
-					if s.cfg.MaxCrashes > 0 && s.crashes > s.cfg.MaxCrashes {
-						s.reapAll(StatusBlocked)
-						return nil, fmt.Errorf("sched: adversary crashed %d processes, limit %d",
-							s.crashes, s.cfg.MaxCrashes)
-					}
-				}
-				continue
-			}
-			if s.steps >= s.cfg.MaxSteps {
-				budgetExhausted = true
-				s.reapAll(StatusBlocked)
-				break
-			}
-			if int(g.ID) < 0 || int(g.ID) >= s.n || s.state[g.ID] != stateParked {
-				s.reapAll(StatusBlocked)
-				return nil, fmt.Errorf("sched: planned grant for process %d, which is not parked", g.ID)
-			}
-			if err := s.step(g.ID); err != nil {
-				s.reapAll(StatusBlocked)
-				return nil, err
-			}
-			continue
-		}
-		// An active sprint keeps granting its process until it stops being
-		// parked (finished or crashed) or the budget runs out.
-		if s.sprint >= 0 {
-			p := s.sprint
-			if s.state[p] == stateParked {
-				if s.steps >= s.cfg.MaxSteps {
-					budgetExhausted = true
-					s.reapAll(StatusBlocked)
-					break
-				}
-				if s.sprintObs != nil {
-					s.sprintObs.SprintStep(p, s.pending[p])
-				}
-				if err := s.step(p); err != nil {
-					s.reapAll(StatusBlocked)
-					return nil, err
-				}
-				continue
-			}
-			s.sprint = -1
-		}
-
-		runnable := s.runnable()
-		if len(runnable) == 0 {
-			break
-		}
-		if s.steps >= s.cfg.MaxSteps {
-			budgetExhausted = true
-			s.reapAll(StatusBlocked)
-			break
-		}
-
-		view.Step = s.steps
-		view.Runnable = runnable
-		dec, err := s.nextDecision(&view)
-		if err != nil {
-			s.reapAll(StatusBlocked)
-			return nil, err
-		}
-
-		for _, c := range dec.Crash {
-			if int(c) < 0 || int(c) >= s.n || s.state[c] != stateParked {
-				continue
-			}
-			s.crash(c)
-			if s.cfg.MaxCrashes > 0 && s.crashes > s.cfg.MaxCrashes {
-				s.reapAll(StatusBlocked)
-				return nil, fmt.Errorf("sched: adversary crashed %d processes, limit %d",
-					s.crashes, s.cfg.MaxCrashes)
-			}
-		}
-		if len(dec.Plan) > 0 {
-			s.plan = append(s.plan[:0], dec.Plan...)
-			s.planIdx = 0
-		}
-
-		run := dec.Run
-		if run < 0 && len(dec.Crash) > 0 {
-			// Crash-only round: no step, re-consult the adversary.
-			continue
-		}
-		if int(run) < 0 || int(run) >= s.n || s.state[run] != stateParked {
-			run = s.firstParked()
-			if run < 0 {
-				continue
-			}
-		}
-		if dec.Sprint {
-			s.sprint = run
-		}
-		if err := s.step(run); err != nil {
-			s.reapAll(StatusBlocked)
-			return nil, err
-		}
-	}
-	return s.collect(budgetExhausted), nil
-}
-
-// consume folds one event into the session state.
-func (s *Session) consume(ev event) {
-	switch ev.kind {
-	case evPark:
-		s.state[ev.id] = stateParked
-		s.pending[ev.id] = ev.label
-	case evDone:
-		s.state[ev.id] = stateDone
-		s.pending[ev.id] = LabelNone
-		switch {
-		case ev.crashed:
-			s.statuses[ev.id] = StatusCrashed
-		case s.envs[ev.id].decided:
-			s.statuses[ev.id] = StatusDecided
-		default:
-			s.statuses[ev.id] = StatusHalted
-		}
-	}
-}
-
-// nextDecision consults the adversary, converting a panic raised inside
-// Next into a run error. Both protocols thereby fail such runs identically
-// — same error, every process goroutine reaped and re-parked — instead of
-// the panic unwinding whichever goroutine happened to be dispatching.
-func (s *Session) nextDecision(v *View) (dec Decision, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sched: adversary panicked: %v", r)
-		}
-	}()
-	return s.adv.Next(*v), nil
 }
 
 // grantBookkeeping records the grant of one step to process id: the label it
@@ -609,65 +279,6 @@ func (s *Session) selfGrant(id ProcID, label Label) {
 	}
 	if s.cfg.TraceCapacity > 0 && len(s.trace) < s.cfg.TraceCapacity {
 		s.trace = append(s.trace, TraceEntry{Proc: id, Label: label})
-	}
-}
-
-// step grants one step to process id and waits for it to park again or
-// finish. It returns an error if the body panicked with a non-crash value.
-func (s *Session) step(id ProcID) error {
-	s.grantBookkeeping(id)
-	s.envs[id].grant <- grantMsg{}
-	ev := <-s.events
-	s.consume(ev)
-	if ev.kind == evDone && ev.failure != nil {
-		return fmt.Errorf("sched: process %d panicked: %v", ev.id, ev.failure)
-	}
-	if ev.id != id && s.state[id] == stateRunning {
-		// A granted process must be the next to report: the token design
-		// guarantees it. Anything else is a runtime invariant violation.
-		s.broken = true
-		return fmt.Errorf("sched: process %d reported while %d held the token", ev.id, id)
-	}
-	return nil
-}
-
-// crash delivers a crash to the parked process id and waits for its wrapper
-// to acknowledge. The process's pending label is preserved in lastLabel so
-// reports can show what it was about to execute.
-func (s *Session) crash(id ProcID) {
-	s.lastLabel[id] = s.pending[id]
-	s.crashed[id] = true
-	s.crashes++
-	s.state[id] = stateRunning
-	s.envs[id].grant <- grantMsg{crash: true}
-	for {
-		ev := <-s.events
-		s.consume(ev)
-		if ev.id == id && ev.kind == evDone {
-			return
-		}
-	}
-}
-
-// reapAll crash-unwinds every parked process so every goroutine re-parks for
-// the next run, then overwrites their status with the given terminal status.
-func (s *Session) reapAll(status Status) {
-	for i := range s.envs {
-		if s.state[i] != stateParked {
-			continue
-		}
-		id := ProcID(i)
-		s.lastLabel[id] = s.pending[id]
-		s.state[id] = stateRunning
-		s.envs[id].grant <- grantMsg{crash: true}
-		for {
-			ev := <-s.events
-			s.consume(ev)
-			if ev.id == id && ev.kind == evDone {
-				break
-			}
-		}
-		s.statuses[id] = status
 	}
 }
 

@@ -6,31 +6,12 @@ import (
 	"testing"
 )
 
-// sessionProtocols runs a subtest under all three scheduling protocols.
-func sessionProtocols(t *testing.T, f func(t *testing.T, opts SessionOptions)) {
+// directSubtest runs f as the subtest "direct", named after the coroutine
+// protocol — the scheduler's only one since the inline and rendezvous
+// protocols were retired.
+func directSubtest(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	for _, tc := range []struct {
-		name string
-		opts SessionOptions
-	}{
-		{"inline", SessionOptions{}},
-		{"rendezvous", SessionOptions{Rendezvous: true}},
-		{"direct", SessionOptions{Direct: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) { f(t, tc.opts) })
-	}
-}
-
-// protocolName names a SessionOptions combination for map keys.
-func protocolName(opts SessionOptions) string {
-	switch {
-	case opts.Direct:
-		return "direct"
-	case opts.Rendezvous:
-		return "rendezvous"
-	default:
-		return "inline"
-	}
+	t.Run("direct", f)
 }
 
 // crashyBodies is a deterministic workload whose runs exercise grants,
@@ -54,9 +35,9 @@ func crashyConfig(trace int) Config {
 // runs on one Session produce byte-identical traces and outcomes to N runs
 // on fresh runtimes, crashes included.
 func TestSessionReuseDeterminism(t *testing.T) {
-	sessionProtocols(t, func(t *testing.T, opts SessionOptions) {
+	directSubtest(t, func(t *testing.T) {
 		const n, k, rounds = 4, 6, 5
-		s, err := NewSessionWith(n, opts)
+		s, err := NewSession(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,8 +130,8 @@ const goldenSelfCrash = `steps=9 crashes=2 budget=false
 // session and from one that already ran.
 func TestProtocolEquivalence(t *testing.T) {
 	const n, k = 5, 7
-	sessionProtocols(t, func(t *testing.T, opts SessionOptions) {
-		s, err := NewSessionWith(n, opts)
+	directSubtest(t, func(t *testing.T) {
+		s, err := NewSession(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,19 +211,17 @@ func TestBatchedGrantsEquivalence(t *testing.T) {
 	// so reconstruct them from outcome order via a replaying probe run.
 	script := recordGrants(t, n, k)
 
-	for _, opts := range []SessionOptions{{Direct: true}, {Rendezvous: true}} {
-		s, err := NewSessionWith(n, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		adv := &planningAdversary{script: script}
-		got, err := s.Run(Config{Adversary: adv, TraceCapacity: 1 << 10, MaxCrashes: 3}, crashyBodies(n, k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "batched/"+protocolName(opts), got, goldenBatched)
-		s.Close()
+	s, err := NewSession(n)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer s.Close()
+	adv := &planningAdversary{script: script}
+	got, err := s.Run(Config{Adversary: adv, TraceCapacity: 1 << 10, MaxCrashes: 3}, crashyBodies(n, k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "batched", got, goldenBatched)
 }
 
 // grantRecorder wraps an adversary and records every decision it makes as a
@@ -311,52 +290,32 @@ func TestSprintEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "stepwise", want, goldenSprint)
-	for _, opts := range []SessionOptions{{Direct: true}, {Rendezvous: true}} {
-		s, err := NewSessionWith(n, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		adv := &sprintingAdversary{rr: NewRoundRobin()}
-		got, err := s.Run(Config{Adversary: adv, TraceCapacity: 1 << 10}, mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "sprinted/"+protocolName(opts), got, goldenSprint)
-		if len(adv.SprintLog) == 0 {
-			t.Fatalf("%s: sprint observer saw no grants", protocolName(opts))
-		}
-		for _, e := range adv.SprintLog {
-			if e.Proc != 2 {
-				t.Fatalf("%s: sprint granted process %d, want 2", protocolName(opts), e.Proc)
-			}
-		}
-		s.Close()
-	}
-}
-
-// TestInlineRejectsBatchedGrants: the inline protocol fails a run whose
-// adversary emits batched grants, and the session stays usable.
-func TestInlineRejectsBatchedGrants(t *testing.T) {
-	s, err := NewSession(2)
+	s, err := NewSession(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	adv := &planningAdversary{script: []Grant{{ID: 0}, {ID: 1}, {ID: 0}}}
-	if _, err := s.Run(Config{Adversary: adv}, crashyBodies(2, 3)); err == nil {
-		t.Fatal("inline protocol should reject Decision.Plan")
+	adv := &sprintingAdversary{rr: NewRoundRobin()}
+	got, err := s.Run(Config{Adversary: adv, TraceCapacity: 1 << 10}, mk())
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := s.Run(Config{Adversary: NewRoundRobin()}, crashyBodies(2, 3))
-	if err != nil || res.NumDecided() != 2 {
-		t.Fatalf("session unusable after rejected batch: %v %+v", err, res)
+	checkGolden(t, "sprinted", got, goldenSprint)
+	if len(adv.SprintLog) == 0 {
+		t.Fatal("sprint observer saw no grants")
+	}
+	for _, e := range adv.SprintLog {
+		if e.Proc != 2 {
+			t.Fatalf("sprint granted process %d, want 2", e.Proc)
+		}
 	}
 }
 
 // TestSessionSurvivesErrorRuns: a session stays usable after a run fails
 // (body panic) and after a run is reaped on the step budget.
 func TestSessionSurvivesErrorRuns(t *testing.T) {
-	sessionProtocols(t, func(t *testing.T, opts SessionOptions) {
-		s, err := NewSessionWith(2, opts)
+	directSubtest(t, func(t *testing.T) {
+		s, err := NewSession(2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,9 +423,9 @@ func (a *retainingAdversary) Next(v View) Decision {
 // decisions must still see the same schedule as a well-behaved control,
 // across multiple runs of one session.
 func TestRetainingAdversaryCannotCorrupt(t *testing.T) {
-	sessionProtocols(t, func(t *testing.T, opts SessionOptions) {
+	directSubtest(t, func(t *testing.T) {
 		const n, k = 3, 5
-		s, err := NewSessionWith(n, opts)
+		s, err := NewSession(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -502,8 +461,8 @@ func TestRetainingAdversaryCannotCorrupt(t *testing.T) {
 // grant when the budget runs out is reaped as StatusBlocked with the
 // synthetic start label as its last label and zero steps.
 func TestReapedWhileParkedOnStartLabel(t *testing.T) {
-	sessionProtocols(t, func(t *testing.T, opts SessionOptions) {
-		s, err := NewSessionWith(2, opts)
+	directSubtest(t, func(t *testing.T) {
+		s, err := NewSession(2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -543,8 +502,8 @@ func TestReapedWhileParkedOnStartLabel(t *testing.T) {
 // decision, one of them the process granted just before, then the run
 // continues and reproduces its golden.
 func TestSessionSelfCrashMidRound(t *testing.T) {
-	sessionProtocols(t, func(t *testing.T, opts SessionOptions) {
-		s, err := NewSessionWith(3, opts)
+	directSubtest(t, func(t *testing.T) {
+		s, err := NewSession(3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -571,11 +530,12 @@ func (a *panicky) Next(v View) Decision {
 }
 
 // TestAdversaryPanicFailsRunUnderBothProtocols: a panic inside
-// Adversary.Next surfaces as the same run error under both protocols, every
-// goroutine is reaped, and the session stays usable.
+// Adversary.Next surfaces as the recorded run error (the one every retired
+// protocol reported too), every process is reaped, and the session stays
+// usable.
 func TestAdversaryPanicFailsRunUnderBothProtocols(t *testing.T) {
-	sessionProtocols(t, func(t *testing.T, opts SessionOptions) {
-		s, err := NewSessionWith(2, opts)
+	directSubtest(t, func(t *testing.T) {
+		s, err := NewSession(2)
 		if err != nil {
 			t.Fatal(err)
 		}

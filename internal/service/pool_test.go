@@ -7,7 +7,8 @@ import (
 )
 
 // TestPoolReuse: a released healthy session is reused by the next acquire of
-// the same (procs, protocol) shape; a different shape spawns fresh.
+// the same process count, whatever its ignored direct argument; a different
+// count spawns fresh.
 func TestPoolReuse(t *testing.T) {
 	p := NewSessionPool(2)
 	defer p.Close()
@@ -17,7 +18,7 @@ func TestPoolReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Release(a)
-	b, err := p.Acquire(2, true)
+	b, err := p.Acquire(2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestPoolCapacityAndForeignSessions(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 
-	foreign, err := sched.NewSessionWith(2, sched.SessionOptions{Direct: true})
+	foreign, err := sched.NewSession(2)
 	if err != nil {
 		t.Fatal(err)
 	}
