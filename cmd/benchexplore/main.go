@@ -331,7 +331,7 @@ func run(o benchOptions) error {
 		// completed state space.
 		job := &service.Job{Spec: sw.spec, Params: sw.p,
 			Engine: service.Engine{Mode: service.ModeExhaustive, Workers: 1, MaxRuns: probe}}
-		if st, _, err := service.Execute(context.Background(), job, nil, nil, nil); err != nil {
+		if st, _, err := service.Execute(context.Background(), job, nil, nil); err != nil {
 			return fmt.Errorf("%s (probe): %w", sw.name, err)
 		} else if !st.Exhausted {
 			fmt.Printf("%-28s skipped: exceeds the %d-run probe budget\n", sw.name, probe)
@@ -708,7 +708,7 @@ func sampleSeries(workers, samples int) ([]Record, error) {
 		if b := s.Sampling().Budget; b > 0 && b < samples {
 			job.Engine.Samples = b
 		}
-		_, st, err := service.Execute(context.Background(), job, nil, nil, nil)
+		_, st, err := service.Execute(context.Background(), job, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s/sample-pct: %w", s.Name(), err)
 		}
@@ -776,7 +776,7 @@ func measure(sw sweep, engine string, workers, reps int) (explore.Stats, error) 
 		return best, err
 	}
 	for r := 0; r < reps; r++ {
-		stats, _, err := service.Execute(context.Background(), job, nil, nil, nil)
+		stats, _, err := service.Execute(context.Background(), job, nil, nil)
 		if err != nil {
 			return best, err
 		}

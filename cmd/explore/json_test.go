@@ -146,7 +146,7 @@ func TestAllSpecsRecordsResubmit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: resubmission rejected: %v", cli.Spec, err)
 		}
-		est, sst, err := service.Execute(context.Background(), j, nil, nil, nil)
+		est, sst, err := service.Execute(context.Background(), j, nil, nil)
 		got := service.NewResult(j, est, sst, err)
 		if !reflect.DeepEqual(normalize(cli), normalize(got)) {
 			t.Fatalf("%s: resubmitted record diverges:\ncli:      %+v %+v\nexecuted: %+v %+v",

@@ -448,7 +448,7 @@ func sweep(ctx context.Context, o options, out io.Writer) error {
 	}
 	for _, p := range cells {
 		j := exploreJob(s, p, o)
-		stats, _, err := service.Execute(ctx, j, nil, nil, nil)
+		stats, _, err := service.Execute(ctx, j, nil, nil)
 		if o.jsonOut {
 			if jerr := jsonResult(out, j, stats, sample.Stats{}, err); jerr != nil {
 				return jerr
@@ -473,7 +473,7 @@ func sweep(ctx context.Context, o options, out io.Writer) error {
 		if o.compare && j.Engine.Workers != 1 {
 			seqJob := *j
 			seqJob.Engine.Workers = 1
-			seq, _, err := service.Execute(ctx, &seqJob, nil, nil, nil)
+			seq, _, err := service.Execute(ctx, &seqJob, nil, nil)
 			if err != nil {
 				return fmt.Errorf("spec %q %s (sequential): %w", s.Name(), p.Text(s), err)
 			}
@@ -563,7 +563,7 @@ func sampleSweep(ctx context.Context, o options, out io.Writer) error {
 		}
 		for _, p := range cells {
 			j := sampleJob(s, p, o)
-			_, stats, err := service.Execute(ctx, j, nil, nil, nil)
+			_, stats, err := service.Execute(ctx, j, nil, nil)
 			if o.jsonOut {
 				if jerr := jsonResult(out, j, explore.Stats{}, stats, err); jerr != nil {
 					return jerr

@@ -805,7 +805,7 @@ func (w *walker) explore(prefix []int) (subtreeStats, error) {
 			pruned += adv.prunedAt[d]
 		}
 		st.pruned += pruned
-		w.cfg.Progress.add(1, int64(pruned))
+		w.cfg.Progress.Add(1, int64(pruned))
 		if cerr := w.session.Check(res); cerr != nil {
 			return st, &PropertyError{Script: scriptOf(adv), Err: cerr}
 		}

@@ -124,7 +124,7 @@ func buildFrontier(w *walker, target int) ([][]int, subtreeStats, error) {
 				return nil, st, nil
 			}
 			st.runs++
-			w.cfg.Progress.add(1, 0)
+			w.cfg.Progress.Add(1, 0)
 			if d := len(adv.taken); d > st.maxDepth {
 				st.maxDepth = d
 			}
@@ -136,7 +136,7 @@ func buildFrontier(w *walker, target int) ([][]int, subtreeStats, error) {
 		// Internal node: attribute its pruned alternatives once, enqueue its
 		// children in sibling order.
 		st.pruned += adv.prunedAt[len(p)]
-		w.cfg.Progress.add(0, int64(adv.prunedAt[len(p)]))
+		w.cfg.Progress.Add(0, int64(adv.prunedAt[len(p)]))
 		for i := 0; i < adv.altCounts[len(p)]; i++ {
 			child := append(append(make([]int, 0, len(p)+1), p...), i)
 			queue = append(queue, child)

@@ -133,31 +133,32 @@ func TestSampleContextCheckerPanicReraised(t *testing.T) {
 }
 
 // TestSampleProgressTracksStats: the live Progress counters converge to the
-// final Stats, including the coverage estimator's distinct-state count.
+// final Stats — each sample counted as a run — including the coverage
+// estimator's distinct-state count.
 func TestSampleProgressTracksStats(t *testing.T) {
 	s, p, sess := session(t, "commitadopt", spec.Params{"n": 2})
-	var prog sample.Progress
+	var prog explore.Progress
 	st, err := sample.Run(sess, sample.StrategyWalk, sample.Config{Samples: 300, Seed: 1, Coverage: true, Progress: &prog})
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := prog.Snapshot()
-	if snap.Samples != int64(st.Samples) {
-		t.Fatalf("progress samples %d, stats %d", snap.Samples, st.Samples)
+	if snap.Runs != int64(st.Samples) || snap.Pruned != 0 {
+		t.Fatalf("progress runs %d (pruned %d), stats %d samples", snap.Runs, snap.Pruned, st.Samples)
 	}
-	if snap.Distinct != st.Distinct || snap.Distinct == 0 {
-		t.Fatalf("progress distinct %d, stats %d", snap.Distinct, st.Distinct)
+	if snap.Dedup.States != st.Distinct || snap.Dedup.States == 0 {
+		t.Fatalf("progress distinct %d, stats %d", snap.Dedup.States, st.Distinct)
 	}
 
-	var pprog sample.Progress
+	var pprog explore.Progress
 	pst, err := sample.RunParallel(spec.Factory(s, p), sample.StrategyWalk,
 		sample.Config{Samples: 300, Seed: 1, Workers: 4, Coverage: true, Progress: &pprog})
 	if err != nil {
 		t.Fatal(err)
 	}
 	psnap := pprog.Snapshot()
-	if psnap.Samples != int64(pst.Samples) {
-		t.Fatalf("parallel progress samples %d, stats %d", psnap.Samples, pst.Samples)
+	if psnap.Runs != int64(pst.Samples) {
+		t.Fatalf("parallel progress runs %d, stats %d samples", psnap.Runs, pst.Samples)
 	}
 }
 

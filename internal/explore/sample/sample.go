@@ -98,10 +98,10 @@ type Config struct {
 	// runs.
 	OnSample func(sample int, script []string)
 	// Progress, when non-nil, is updated live while the job runs: workers
-	// add every completed sample and the coverage store (under Coverage) is
-	// attached for counter snapshots — the surface the exploredd daemon's
-	// progress stream polls.
-	Progress *Progress
+	// count every completed sample as a run and the coverage store (under
+	// Coverage) is attached for counter snapshots — the surface the
+	// exploredd daemon's progress stream polls.
+	Progress *explore.Progress
 	// Runtime, when non-nil, supplies and reclaims the workers' sched
 	// runtimes instead of NewSession/Close, letting long-running drivers
 	// lease warm sessions across jobs.
@@ -355,7 +355,7 @@ func (w *worker) sampleOne(i int) error {
 		return fmt.Errorf("%w: %v (sample %d, schedule %v)", explore.ErrRunFailed, err, i, w.adv.script())
 	}
 	w.samples++
-	w.cfg.Progress.add(1)
+	w.cfg.Progress.Add(1, 0)
 	w.lastRes = res
 	if d := len(w.adv.choices); d > w.maxDepth {
 		w.maxDepth = d
@@ -464,7 +464,7 @@ func RunContext(ctx context.Context, newSession func() explore.Session, strategy
 	if cfg.Coverage {
 		store = explore.NewVisitedStore(cfg.CoverageMem, cfg.CoverageShards)
 	}
-	cfg.Progress.attach(store)
+	cfg.Progress.Attach(store)
 	cps := newCheckpoints(cfg, store)
 
 	nw := min(cfg.Workers, cfg.Samples)

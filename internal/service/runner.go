@@ -35,8 +35,7 @@ type jobState struct {
 	state atomic.Value // string; one of the State* constants
 
 	// Live engine counters, polled by the events stream.
-	eprog *explore.Progress
-	sprog *sample.Progress
+	prog *explore.Progress
 
 	mu       sync.Mutex
 	result   *Result
@@ -59,13 +58,9 @@ func newJobState(id, client string, j *Job) *jobState {
 		cancel:  cancel,
 		created: time.Now(),
 		done:    make(chan struct{}),
+		prog:    &explore.Progress{},
 	}
 	js.state.Store(StateQueued)
-	if j.Engine.Mode == ModeSample {
-		js.sprog = &sample.Progress{}
-	} else {
-		js.eprog = &explore.Progress{}
-	}
 	return js
 }
 
@@ -108,13 +103,11 @@ func (js *jobState) snapshot() JobStatus {
 		st.Result = js.result
 		st.Cached = js.cached
 	}
-	switch {
-	case js.eprog != nil:
-		p := js.eprog.Snapshot()
+	p := js.prog.Snapshot()
+	if js.job.Engine.Mode == ModeSample {
+		st.Progress = &ProgressStatus{Samples: p.Runs, Distinct: p.Dedup.States}
+	} else {
 		st.Progress = &ProgressStatus{Runs: p.Runs, Pruned: p.Pruned, Distinct: p.Dedup.States}
-	case js.sprog != nil:
-		p := js.sprog.Snapshot()
-		st.Progress = &ProgressStatus{Samples: p.Samples, Distinct: p.Distinct}
 	}
 	return st
 }
@@ -155,7 +148,7 @@ func runJob(js *jobState, cache *Cache, pool *SessionPool) {
 			js.started = time.Now()
 			js.mu.Unlock()
 			js.state.Store(StateRunning)
-			est, sst, err := Execute(js.ctx, js.job, js.eprog, js.sprog, pool)
+			est, sst, err := Execute(js.ctx, js.job, js.prog, pool)
 			r := NewResult(js.job, est, sst, err)
 			if r.Verdict == VerdictCanceled {
 				// Free the key so the next identical submission re-runs, but
@@ -197,17 +190,17 @@ func canceledResult(j *Job) Result {
 // Execute runs job j on its engine under ctx and returns the engine's raw
 // stats (NewResult projects them into the wire record). It is the one
 // execution path of the daemon, cmd/explore and cmd/benchexplore: the job's
-// Engine.Workers picks the engine's pool size, eprog/sprog receive the live
-// counters of the exhaustive/sampling engine (nil = untracked), and rt, when
-// non-nil, supplies the runtimes the engines replay on.
-func Execute(ctx context.Context, j *Job, eprog *explore.Progress, sprog *sample.Progress, rt explore.RuntimeSource) (explore.Stats, sample.Stats, error) {
+// Engine.Workers picks the engine's pool size, prog receives the engine's
+// live counters (nil = untracked), and rt, when non-nil, supplies the
+// runtimes the engines replay on.
+func Execute(ctx context.Context, j *Job, prog *explore.Progress, rt explore.RuntimeSource) (explore.Stats, sample.Stats, error) {
 	newSession := spec.Factory(j.Spec, j.Params)
 	if j.Engine.Mode == ModeSample {
 		cfg, err := j.SampleConfig()
 		if err != nil {
 			return explore.Stats{}, sample.Stats{}, err
 		}
-		cfg.Progress = sprog
+		cfg.Progress = prog
 		cfg.Runtime = rt
 		st, err := sample.RunContext(ctx, newSession, j.Engine.Strategy, cfg)
 		return explore.Stats{}, st, err
@@ -216,7 +209,7 @@ func Execute(ctx context.Context, j *Job, eprog *explore.Progress, sprog *sample
 	if err != nil {
 		return explore.Stats{}, sample.Stats{}, err
 	}
-	cfg.Progress = eprog
+	cfg.Progress = prog
 	cfg.Runtime = rt
 	st, err := explore.Run(ctx, newSession, cfg)
 	return st, sample.Stats{}, err
