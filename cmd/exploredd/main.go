@@ -75,7 +75,12 @@ func run(args []string, out, errw io.Writer) int {
 	})
 	defer srv.Close()
 
-	hs := &http.Server{Handler: srv.Handler()}
+	// Constant timeouts bound what an idle or slow client can hold open.
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {

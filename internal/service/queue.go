@@ -23,7 +23,7 @@ var ErrRateLimited = errors.New("service: rate limit exceeded")
 type ErrorBody struct {
 	// Error is the human-readable message; Kind a stable machine tag:
 	// "bad_request", "param", "rate_limited", "queue_full", "not_found",
-	// "conflict".
+	// "conflict", "too_large".
 	Error string `json:"error"`
 	Kind  string `json:"kind"`
 	// Param carries the declared domains of a rejected parameter assignment

@@ -195,11 +195,22 @@ func clientOf(r *http.Request) string {
 	return host
 }
 
+// MaxRequestBytes caps a POST /jobs body; a larger one is answered 413
+// with kind "too_large" before it is decoded. Real requests are a few
+// hundred bytes.
+const MaxRequestBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, ErrorBody{
+				Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), Kind: "too_large"})
+			return
+		}
 		writeError(w, http.StatusBadRequest, ErrorBody{Error: "malformed request: " + err.Error(), Kind: "bad_request"})
 		return
 	}

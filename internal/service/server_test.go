@@ -299,6 +299,33 @@ func TestServiceSmokeRateLimit(t *testing.T) {
 	}
 }
 
+// TestServiceSmokeTooLarge: a POST /jobs body over MaxRequestBytes answers
+// 413 with the typed body and creates no job.
+func TestServiceSmokeTooLarge(t *testing.T) {
+	srv := NewServer(ServerConfig{Runners: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	body := `{"spec": "` + strings.Repeat("a", MaxRequestBytes) + `"}`
+	resp, payload := postJSON(t, ts.URL+"/jobs", body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submission status %d: %.200s", resp.StatusCode, payload)
+	}
+	var eb ErrorBody
+	if err := json.Unmarshal(payload, &eb); err != nil {
+		t.Fatal(err)
+	}
+	if eb.Kind != "too_large" {
+		t.Fatalf("oversized body: %s", payload)
+	}
+	var jobs []JobStatus
+	getJSON(t, ts.URL+"/jobs", &jobs)
+	if len(jobs) != 0 {
+		t.Fatalf("oversized submission created %d jobs", len(jobs))
+	}
+}
+
 // TestServiceSmokeQueueFull: submissions beyond the queue capacity answer 503
 // with the typed body, and the rejected job leaves no residue in the table.
 func TestServiceSmokeQueueFull(t *testing.T) {
