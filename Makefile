@@ -1,6 +1,8 @@
-# Development entry points. CI should run:
-#   make build vet test alloc-gate explore-smoke   (test job)
-#   make docs-check                                (docs/health job)
+# Development entry points. CI (.github/workflows/ci.yml) runs:
+#   make test alloc-gate explore-smoke sample-smoke service-smoke \
+#        spec-conformance symmetry-conformance weakmem-conformance \
+#        throughput-gate                            (test job; test runs build and vet)
+#   make docs-check                                 (docs job)
 GO ?= go
 
 .PHONY: build vet test alloc-gate bench bench-json bench-trend throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check
@@ -11,12 +13,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The parallel explorer is the repository's only real concurrency; keep the
+# The engines' worker pools, the daemon's runners and HTTP handlers, and the
+# process-global label tables are the repository's concurrency; keep the
 # whole suite race-clean.
 # Both engines' worker pools share one pool helper, so its context/parallel tests repeat 10x under -race.
+# Simulator threads are now coroutines nested inside sched coroutines, so bg and sched repeat 5x under -race.
 test: build vet
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Context|Parallel|RunOneWorker' ./internal/explore ./internal/explore/sample
+	$(GO) test -race -count=5 ./internal/bg ./internal/sched
 
 # Allocation gate (CI's test job): the harness hot paths stay at zero heap
 # allocations per run (the commitadopt n=3 tree walk; a warm x_safe_agreement

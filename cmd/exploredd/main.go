@@ -55,7 +55,7 @@ func run(args []string, out, errw io.Writer) int {
 	runners := fs.Int("runners", 2, "concurrent job runners (each job fans out its own engine workers)")
 	rate := fs.Float64("rate", 0, "per-client submissions per second (0 = unlimited)")
 	burst := fs.Int("burst", 8, "per-client submission burst")
-	idle := fs.Int("idle", 8, "warm sched sessions kept per (procs, protocol) key")
+	idle := fs.Int("idle", 8, "warm sched sessions kept per process count")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -8,9 +8,9 @@
 //
 // The execution substrate is internal/sched: a deterministic single-runner
 // scheduler whose step labels are interned (sched.Label) and whose runtime
-// is a reusable sched.Session — process goroutines are spawned once, park
-// between runs, and are reset per run, with scheduling decisions dispatched
-// inline on the process goroutines themselves. The exhaustive explorer
+// is a reusable sched.Session — process coroutines are built once, suspend
+// between runs, and are reset per run, with every token handoff a coroutine
+// switch on the caller's goroutine. The exhaustive explorer
 // (internal/explore) replays millions of runs per sweep on one Session per
 // worker; sched.Run remains the one-shot entry point for single runs.
 //

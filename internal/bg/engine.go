@@ -24,11 +24,12 @@
 // operations (MEM update and scan, agreement propose and decide probe) it
 // stores a typed request on its simAPI and yields. The simulator performs
 // the request with its own Env, on its own coroutine, and resumes the same
-// thread; it moves round-robin only on a plain fairness yield. The mutex-1
-// discipline (a simulator is
-// engaged in at most one agreement propose at a time) and the mutex-2
-// discipline (at most one simulated x_cons_propose at a time) are enforced
-// with thread-local cooperative locks, exactly as in the paper.
+// thread; it moves round-robin only on a plain fairness yield.
+//
+// The mutex-1 discipline (a simulator is engaged in at most one agreement
+// propose at a time) and the mutex-2 discipline (at most one simulated
+// x_cons_propose at a time) are enforced with thread-local cooperative
+// locks, exactly as in the paper.
 package bg
 
 import (
@@ -355,16 +356,9 @@ type simulatorState struct {
 	mutex2  map[int]bool
 	decided []any
 
-	threads []simThread
-	cursor  int // round-robin position: the next thread to resume
-}
-
-// simThread is the coroutine of one simulated process.
-type simThread struct {
-	api  *simAPI
-	next func() (struct{}, bool)
-	stop func()
-	done bool
+	threads []simAPI // one per simulated process
+	cursor  int      // round-robin position: the next thread to resume
+	live    int      // threads not yet ended
 }
 
 func (r *engineRun) simulatorBody(i int) sched.Proc {
@@ -376,15 +370,13 @@ func (r *engineRun) simulatorBody(i int) sched.Proc {
 			xres:    make(map[int]any),
 			mutex2:  make(map[int]bool),
 			decided: make([]any, r.n),
-			threads: make([]simThread, r.n),
+			threads: make([]simAPI, r.n),
+			live:    r.n,
 		}
-		apis := make([]simAPI, r.n)
 		for j := range sim.threads {
-			api := &apis[j]
-			*api = simAPI{r: r, sim: sim, i: i, j: j}
 			th := &sim.threads[j]
-			th.api = api
-			th.next, th.stop = iter.Pull(api.run)
+			*th = simAPI{r: r, sim: sim, i: i, j: j}
+			th.next, th.stop = iter.Pull(th.run)
 		}
 		// A crash of this simulator (the sched sentinel raised by a step it
 		// takes for a thread) or a thread's foreign panic unwinds through
@@ -441,46 +433,21 @@ func (sim *simulatorState) resumeNext(e *sched.Env) bool {
 	n := len(sim.threads)
 	for k := 0; k < n; k++ {
 		idx := (sim.cursor + k) % n
-		th := &sim.threads[idx]
-		if th.done {
-			continue
+		if th := &sim.threads[idx]; !th.done {
+			sim.cursor = (idx + 1) % n
+			th.resume(e)
+			return sim.live > 0
 		}
-		sim.cursor = (idx + 1) % n
-		th.resume(e)
-		for j := range sim.threads {
-			if !sim.threads[j].done {
-				return true
-			}
-		}
-		return false
 	}
 	return false
 }
 
-// resume runs the thread to its next fairness yield or its end, performing
-// every shared step it requests on the simulator's Env in between. A foreign
-// panic in the thread re-raises here.
-func (th *simThread) resume(e *sched.Env) {
-	for {
-		if _, ok := th.next(); !ok {
-			th.done = true
-			return
-		}
-		if th.api.req == reqNone {
-			return
-		}
-		th.api.perform(e)
-	}
-}
-
 // stopAll reaps every thread: a never-started one without running it, a
-// suspended one by unwinding it with threadKill. It is safe during a panic
-// unwind.
+// suspended one by unwinding it with threadKill, an ended one not at all.
+// It is safe during a panic unwind.
 func (sim *simulatorState) stopAll() {
 	for j := range sim.threads {
-		if th := &sim.threads[j]; th.stop != nil {
-			th.stop()
-		}
+		sim.threads[j].stop()
 	}
 }
 
@@ -500,17 +467,22 @@ const (
 // recovers it.
 type threadKill struct{}
 
-// simAPI implements algorithms.API on behalf of simulated process j inside
-// simulator i. The thread takes no step itself: each shared operation is a
-// request (req plus its operands) the simulator performs with its Env
-// before resuming the thread with the result.
+// simAPI is the thread of simulated process j inside simulator i: its
+// coroutine and its algorithms.API implementation. The thread takes no step
+// itself: each shared operation is a request (req plus its operands) the
+// simulator performs with its Env before resuming the thread with the
+// result.
 type simAPI struct {
 	r        *engineRun
 	sim      *simulatorState
 	i        int // simulator index
 	j        int // simulated process index
 	proposed map[int]bool
-	yield    func(struct{}) bool
+
+	next  func() (struct{}, bool) // resumes the thread (simulator side)
+	stop  func()                  // reaps the thread (simulator side)
+	yield func(struct{}) bool     // suspends the thread (thread side)
+	done  bool                    // the thread's algorithm has returned
 
 	req  reqKind
 	row  memRow    // reqUpdate: the row to publish in MEM[i]
@@ -531,6 +503,23 @@ func (a *simAPI) run(yield func(struct{}) bool) {
 		}
 	}()
 	a.r.cfg.Alg.Run(a)
+}
+
+// resume runs the thread to its next fairness yield or its end, performing
+// every shared step it requests on the simulator's Env in between. A foreign
+// panic in the thread re-raises here.
+func (a *simAPI) resume(e *sched.Env) {
+	for {
+		if _, ok := a.next(); !ok {
+			a.done = true
+			a.sim.live--
+			return
+		}
+		if a.req == reqNone {
+			return
+		}
+		a.perform(e)
+	}
 }
 
 // suspend hands control back to the simulator with the pending request (or

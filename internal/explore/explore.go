@@ -690,8 +690,8 @@ func (a *subtreeStats) fold(b subtreeStats) {
 }
 
 // walker runs the stateless DFS over one or more disjoint subtrees. Each
-// walker owns one reusable sched.Session (its process goroutines are spawned
-// once and parked between replays) and one reusable scripted adversary, so a
+// walker owns one reusable sched.Session (its process coroutines are built
+// once and suspended between replays) and one reusable scripted adversary, so a
 // replay's only per-run work is resetting state and re-executing the steps.
 type walker struct {
 	cfg     Config
@@ -716,7 +716,7 @@ func (w *walker) stopped() bool {
 	}
 }
 
-// close releases the walker's runtime goroutines — back to the configured
+// close releases the walker's runtime — back to the configured
 // RuntimeSource (which may keep the session warm for the next job), or for
 // good.
 func (w *walker) close() {

@@ -30,21 +30,16 @@ func (s *Session) runBody(e *Env) {
 		r := recover()
 		s.state[e.id] = stateDone
 		s.pending[e.id] = LabelNone
+		crashed := IsCrash(r)
 		switch {
-		case r == nil:
-			if e.decided {
-				s.statuses[e.id] = StatusDecided
-			} else {
-				s.statuses[e.id] = StatusHalted
-			}
-		case IsCrash(r):
+		case crashed:
 			s.statuses[e.id] = StatusCrashed
+		case e.decided:
+			s.statuses[e.id] = StatusDecided
 		default:
-			if e.decided {
-				s.statuses[e.id] = StatusDecided
-			} else {
-				s.statuses[e.id] = StatusHalted
-			}
+			s.statuses[e.id] = StatusHalted
+		}
+		if r != nil && !crashed {
 			s.fail = fmt.Errorf("sched: process %d panicked: %v", e.id, r)
 		}
 	}()

@@ -94,6 +94,8 @@ var ErrClosed = errors.New("sched: session closed")
 
 // SessionOptions once selected among several scheduling protocols. Only the
 // coroutine protocol remains, so the options have no effect.
+//
+// Deprecated: use NewSession.
 type SessionOptions struct {
 	// Deprecated: every session runs the coroutine protocol; Direct is
 	// ignored.
