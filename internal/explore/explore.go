@@ -691,8 +691,9 @@ func (a *subtreeStats) fold(b subtreeStats) {
 
 // walker runs the stateless DFS over one or more disjoint subtrees. Each
 // walker owns one reusable sched.Session (its process coroutines are built
-// once and suspended between replays) and one reusable scripted adversary, so a
-// replay's only per-run work is resetting state and re-executing the steps.
+// once and suspended between replays) and one reusable scripted adversary,
+// so a replay's only per-run work is resetting state and re-executing the
+// steps.
 type walker struct {
 	cfg     Config
 	session Session
