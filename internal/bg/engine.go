@@ -361,23 +361,30 @@ type simulatorState struct {
 	live    int      // threads not yet ended
 }
 
+// newSimulator builds simulator i's local state with one thread per
+// simulated process, none of them started yet.
+func (r *engineRun) newSimulator(i int) *simulatorState {
+	sim := &simulatorState{
+		memi:    make(memRow, r.n),
+		wSN:     make([]int, r.n),
+		snapSN:  make([]int, r.n),
+		xres:    make(map[int]any),
+		mutex2:  make(map[int]bool),
+		decided: make([]any, r.n),
+		threads: make([]simAPI, r.n),
+		live:    r.n,
+	}
+	for j := range sim.threads {
+		th := &sim.threads[j]
+		*th = simAPI{r: r, sim: sim, i: i, j: j}
+		th.next, th.stop = iter.Pull(th.run)
+	}
+	return sim
+}
+
 func (r *engineRun) simulatorBody(i int) sched.Proc {
 	return func(e *sched.Env) {
-		sim := &simulatorState{
-			memi:    make(memRow, r.n),
-			wSN:     make([]int, r.n),
-			snapSN:  make([]int, r.n),
-			xres:    make(map[int]any),
-			mutex2:  make(map[int]bool),
-			decided: make([]any, r.n),
-			threads: make([]simAPI, r.n),
-			live:    r.n,
-		}
-		for j := range sim.threads {
-			th := &sim.threads[j]
-			*th = simAPI{r: r, sim: sim, i: i, j: j}
-			th.next, th.stop = iter.Pull(th.run)
-		}
+		sim := r.newSimulator(i)
 		// A crash of this simulator (the sched sentinel raised by a step it
 		// takes for a thread) or a thread's foreign panic unwinds through
 		// here: stop reaps every thread still suspended.
